@@ -193,6 +193,31 @@ fn bench_engines(c: &mut Criterion) {
         })
     });
 
+    // The pairwise interaction scan over the whole swarm space (3270
+    // rows; Stranger, Selection and Allocation coded as 119 dummies): three
+    // augmented refits, the largest the 1092-column Stranger × Selection
+    // model, whose Cholesky factorization dominates the warm `attribution`
+    // figure. The design is built once; the response is synthetic, so the
+    // bench never touches a sweep cache.
+    let swarm_space = dsa_swarm::protocol::design_space();
+    let swarm_rows: Vec<usize> = swarm_space.indices().collect();
+    let swarm_y: Vec<f64> = swarm_rows
+        .iter()
+        .map(|&i| {
+            let c = swarm_space.coords(i);
+            let noise = ((i * 37 % 11) as f64 - 5.0) / 100.0;
+            0.3 * c[0] as f64
+                + 0.01 * (c[1] % 12) as f64
+                + 0.2 * c[2] as f64
+                + 0.002 * (c[0] * (c[1] % 7)) as f64
+                + noise
+        })
+        .collect();
+    let swarm_dm = dsa_attribution::DesignMatrix::build(&swarm_space, &swarm_rows, 1);
+    c.bench_function("attrib_interactions_swarm_3270", |b| {
+        b.iter(|| dsa_attribution::interaction_scan(black_box(&swarm_dm), black_box(&swarm_y)))
+    });
+
     // OLS on a Table 3-shaped problem (3270 × 12); random columns are
     // full-rank with probability 1.
     let n = 3270;

@@ -44,6 +44,8 @@ pub mod hull;
 pub mod matrix;
 pub mod nonparametric;
 pub mod ols;
+#[cfg(test)]
+mod reference;
 pub mod special;
 
 pub use ci::ConfidenceInterval;

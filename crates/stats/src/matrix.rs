@@ -1,10 +1,12 @@
-//! Dense column-major matrices with just enough linear algebra for OLS.
+//! Dense row-major matrices with just enough linear algebra for OLS.
 //!
-//! The regression in Table 3 has ~3270 rows and 13 columns, so the normal
-//! equations `XᵀX β = Xᵀy` with a Cholesky solve are numerically entirely
-//! adequate (the design matrix is dummy-coded and standardized; its Gram
-//! matrix is well conditioned). We keep the implementation deliberately
-//! small and well tested rather than general.
+//! The regressions range from Table 3 (~3270 rows, 13 columns) to the
+//! attribution subsystem's pairwise interaction scan, whose largest model
+//! (the swarm space's Stranger × Selection pair) solves 1092 columns over
+//! the same 3270 rows. The normal equations `XᵀX β = Xᵀy` with a Cholesky
+//! solve are numerically adequate for both (the design matrix is
+//! dummy-coded; its Gram matrix is well conditioned). We keep the
+//! implementation deliberately small and well tested rather than general.
 
 use std::fmt;
 
@@ -96,6 +98,11 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Mutable borrow of one row.
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
     /// The transpose.
     #[must_use]
     pub fn transpose(&self) -> Self {
@@ -136,7 +143,7 @@ impl Matrix {
     }
 
     /// `selfᵀ * self`, the Gram matrix, computed without materializing the
-    /// transpose (the hot operation of OLS).
+    /// transpose.
     #[must_use]
     pub fn gram(&self) -> Self {
         let mut g = Self::zeros(self.cols, self.cols);
@@ -160,27 +167,6 @@ impl Matrix {
         g
     }
 
-    /// `selfᵀ * v` for a vector `v` of length `rows`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.rows()`.
-    #[must_use]
-    pub fn t_vec_mul(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows, "t_vec_mul: vector length mismatch");
-        let mut out = vec![0.0; self.cols];
-        for (r, &vr) in v.iter().enumerate() {
-            let row = self.row(r);
-            if vr == 0.0 {
-                continue;
-            }
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o += x * vr;
-            }
-        }
-        out
-    }
-
     /// `self * v` for a vector `v` of length `cols`.
     ///
     /// # Panics
@@ -196,28 +182,31 @@ impl Matrix {
 
     /// Cholesky factorization `self = L Lᵀ` of a symmetric positive-definite
     /// matrix; returns the lower-triangular factor, or `None` if the matrix
-    /// is not (numerically) positive definite.
+    /// is not (numerically) positive definite. Only the lower triangle of
+    /// `self` is read.
+    ///
+    /// Operation order, per element: `L[i][j]` is `A[i][j]` minus the
+    /// rounded products `L[i][k]·L[j][k]`, subtracted one at a time in
+    /// ascending `k`; off the diagonal the result is divided by `L[j][j]`,
+    /// on it the result is the pivot, rejected unless positive and finite,
+    /// and square-rooted. That is the textbook row-by-row loop, bit for bit,
+    /// but the work is ordered right-looking: column `k` of `L` lives in
+    /// row `k` of the upper triangle, contiguous, and once a block of
+    /// `CHOLESKY_BLOCK` (8) columns is finished, every later row takes the
+    /// block's subtractions in one element-wise pass, independent across
+    /// elements, instead of one dependent chain per element.
     #[must_use]
     pub fn cholesky(&self) -> Option<Self> {
-        assert_eq!(self.rows, self.cols, "cholesky: matrix must be square");
         let n = self.rows;
-        let mut l = Self::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return None;
-                    }
-                    l[(i, i)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
+        let mut l = self.clone().into_upper_factor()?;
+        // Copy Lᵀ over what the factorization left below the diagonal and
+        // clear the upper triangle.
+        for_each_lower_tiled(n, |i, j| {
+            if i != j {
+                l.data[i * n + j] = l.data[j * n + i];
+                l.data[j * n + i] = 0.0;
             }
-        }
+        });
         Some(l)
     }
 
@@ -225,20 +214,29 @@ impl Matrix {
     /// Cholesky. Returns `None` if the factorization fails.
     #[must_use]
     pub fn solve_spd(&self, b: &[f64]) -> Option<Vec<f64>> {
-        let l = self.cholesky()?;
-        Some(l.cholesky_solve(b))
+        self.clone().into_solve_spd(b)
     }
 
     /// Inverse of a symmetric positive-definite matrix via Cholesky.
     #[must_use]
     pub fn inverse_spd(&self) -> Option<Self> {
-        let l = self.cholesky()?;
-        let n = self.rows;
+        self.clone().into_inverse_spd()
+    }
+
+    /// [`Matrix::solve_spd`], factoring in `self`'s own buffer.
+    pub(crate) fn into_solve_spd(self, b: &[f64]) -> Option<Vec<f64>> {
+        Some(self.into_upper_factor()?.cholesky_solve(b))
+    }
+
+    /// [`Matrix::inverse_spd`], factoring in `self`'s own buffer.
+    pub(crate) fn into_inverse_spd(self) -> Option<Self> {
+        let u = self.into_upper_factor()?;
+        let n = u.rows;
         let mut inv = Self::zeros(n, n);
         let mut e = vec![0.0; n];
         for j in 0..n {
             e[j] = 1.0;
-            let col = l.cholesky_solve(&e);
+            let col = u.cholesky_solve(&e);
             for i in 0..n {
                 inv[(i, j)] = col[i];
             }
@@ -247,28 +245,74 @@ impl Matrix {
         Some(inv)
     }
 
-    /// Given the lower Cholesky factor `L` (self), solves `L Lᵀ x = b` by
-    /// forward then backward substitution.
+    /// The factorization of [`Matrix::cholesky`], in place and returned as
+    /// `Lᵀ`: the lower triangle (`A`) is first swapped into the upper
+    /// triangle, where row `k` then becomes column `k` of `L`. The strict
+    /// lower triangle is left holding `A`'s old upper triangle.
+    fn into_upper_factor(mut self) -> Option<Self> {
+        assert_eq!(self.rows, self.cols, "cholesky: matrix must be square");
+        let n = self.rows;
+        let u = &mut self.data;
+        for_each_lower_tiled(n, |i, j| u.swap(i * n + j, j * n + i));
+        for k0 in (0..n).step_by(CHOLESKY_BLOCK) {
+            let k1 = (k0 + CHOLESKY_BLOCK).min(n);
+            // Finish the block's rows one by one; each passes its
+            // subtraction on to the block rows below it.
+            for k in k0..k1 {
+                let (done, below) = u.split_at_mut((k + 1) * n);
+                let row_k = &mut done[k * n..];
+                let pivot = row_k[k];
+                if pivot <= 0.0 || !pivot.is_finite() {
+                    return None;
+                }
+                let diag = pivot.sqrt();
+                row_k[k] = diag;
+                for x in &mut row_k[k + 1..] {
+                    *x /= diag;
+                }
+                for (j, row_j) in (k + 1..k1).zip(below.chunks_exact_mut(n)) {
+                    subtract_panel::<1>(&mut row_j[j..], row_k, n, j);
+                }
+            }
+            // Every later row takes the whole block in one pass. A short
+            // last block ends at `n`, so this loop only sees full blocks.
+            let (done, below) = u.split_at_mut(k1 * n);
+            let panel = &done[k0 * n..];
+            for (j, row_j) in (k1..n).zip(below.chunks_exact_mut(n)) {
+                subtract_panel::<CHOLESKY_BLOCK>(&mut row_j[j..], panel, n, j);
+            }
+        }
+        Some(self)
+    }
+
+    /// Given `U = Lᵀ` (self) from [`Matrix::into_upper_factor`], solves
+    /// `L Lᵀ x = b` by forward then backward substitution, with the
+    /// textbook operation order: `y[i] = (b[i] − Σ L[i][k]·y[k]) / L[i][i]`
+    /// and `x[i] = (y[i] − Σ L[k][i]·x[k]) / L[i][i]`, each sum subtracted
+    /// term by term in ascending `k`. Both passes read rows of `U`.
     fn cholesky_solve(&self, b: &[f64]) -> Vec<f64> {
         let n = self.rows;
         debug_assert_eq!(b.len(), n);
-        // Forward: L y = b.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self[(i, k)] * y[k];
+        // Forward: L y = b. Once y[k] is final, its term goes to every
+        // later sum in one pass over row k of U (column k of L).
+        let mut y = b.to_vec();
+        for k in 0..n {
+            let row = self.row(k);
+            y[k] /= row[k];
+            let (done, later) = y.split_at_mut(k + 1);
+            for (sum, &l) in later.iter_mut().zip(&row[k + 1..]) {
+                *sum -= l * done[k];
             }
-            y[i] = sum / self[(i, i)];
         }
-        // Backward: Lᵀ x = y.
+        // Backward: Lᵀ x = y, one dot product over row i of U each.
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
+            let row = self.row(i);
             let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= self[(k, i)] * x[k];
+            for (&l, &xk) in row[i + 1..].iter().zip(&x[i + 1..]) {
+                sum -= l * xk;
             }
-            x[i] = sum / self[(i, i)];
+            x[i] = sum / row[i];
         }
         x
     }
@@ -287,6 +331,44 @@ impl Matrix {
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// Rows of the Cholesky factor finished together before the rows below
+/// them are updated: each later row then takes this many subtractions per
+/// pass over it. At n = 1092, 8 to 16 ran alike; 4 was ~20% slower, and
+/// at 32 the compiler no longer unrolls the panel loop.
+const CHOLESKY_BLOCK: usize = 8;
+
+/// `row[i] -= panel_b[j + i] * panel_b[j]` for each of the `B` rows
+/// `panel_b` of `panel` (each `n` long) in turn: one pass over `row`, the
+/// tail of factor row `j` from its diagonal on, with every element's
+/// subtractions in ascending panel-row order.
+fn subtract_panel<const B: usize>(row: &mut [f64], panel: &[f64], n: usize, j: usize) {
+    let len = row.len();
+    let coef: [f64; B] = std::array::from_fn(|b| panel[b * n + j]);
+    let rows: [&[f64]; B] = std::array::from_fn(|b| &panel[b * n + j..][..len]);
+    for (i, x) in row.iter_mut().enumerate() {
+        let mut acc = *x;
+        for b in 0..B {
+            acc -= rows[b][i] * coef[b];
+        }
+        *x = acc;
+    }
+}
+
+/// Visits every `(i, j)` with `j ≤ i < n` tile by tile, so a transposing
+/// access pattern touches only a few cache lines of each triangle at once.
+fn for_each_lower_tiled(n: usize, mut f: impl FnMut(usize, usize)) {
+    const TILE: usize = 32;
+    for i0 in (0..n).step_by(TILE) {
+        for j0 in (0..=i0).step_by(TILE) {
+            for i in i0..(i0 + TILE).min(n) {
+                for j in j0..(j0 + TILE).min(i + 1) {
+                    f(i, j);
+                }
+            }
+        }
     }
 }
 
@@ -368,14 +450,6 @@ mod tests {
         );
         let explicit = m.transpose().matmul(&m);
         assert!(m.gram().max_abs_diff(&explicit) < 1e-12);
-    }
-
-    #[test]
-    fn t_vec_mul_matches_transpose_matmul() {
-        let m = Matrix::from_rows(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let v = [1.0, -1.0, 2.0];
-        let got = m.t_vec_mul(&v);
-        assert_eq!(got, vec![1.0 - 3.0 + 10.0, 2.0 - 4.0 + 12.0]);
     }
 
     #[test]

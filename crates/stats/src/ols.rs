@@ -96,17 +96,24 @@ impl std::error::Error for OlsError {}
 /// assert!(fit.r_squared > 0.999_999);
 /// ```
 pub fn fit(predictors: &[NamedColumn], y: &[f64]) -> Result<OlsFit, OlsError> {
-    let n = y.len();
-    let p = predictors.len();
-    let x = design_matrix(predictors, y)?;
-
-    let gram = x.gram();
-    let xty = x.t_vec_mul(y);
-    let gram_inv = gram.inverse_spd().ok_or(OlsError::Singular)?;
+    let (gram, xty) = normal_equations(predictors, y)?;
+    let gram_inv = gram.into_inverse_spd().ok_or(OlsError::Singular)?;
     let beta = gram_inv.vec_mul(&xty);
+    let sums = sums_of_squares(predictors, y, &beta);
+    Ok(summarize(predictors, y.len(), &gram_inv, &beta, sums))
+}
 
-    // Residuals and fit statistics.
-    let (ss_res, ss_tot) = sums_of_squares(&x, &beta, y);
+/// Per-term statistics and goodness of fit of the coefficients `beta`
+/// with `(XᵀX)⁻¹ = gram_inv` and sums of squares `(ss_res, ss_tot)` over
+/// `n` observations.
+pub(crate) fn summarize(
+    predictors: &[NamedColumn],
+    n: usize,
+    gram_inv: &Matrix,
+    beta: &[f64],
+    (ss_res, ss_tot): (f64, f64),
+) -> OlsFit {
+    let p = predictors.len();
     let df_residual = n - (p + 1);
     let sigma2 = ss_res / df_residual as f64;
     let r_squared = if ss_tot > 0.0 {
@@ -143,7 +150,7 @@ pub fn fit(predictors: &[NamedColumn], y: &[f64]) -> Result<OlsFit, OlsError> {
         });
     }
 
-    Ok(OlsFit {
+    OlsFit {
         terms,
         r_squared,
         adj_r_squared,
@@ -151,13 +158,28 @@ pub fn fit(predictors: &[NamedColumn], y: &[f64]) -> Result<OlsFit, OlsError> {
         residual_std_error: sigma2.sqrt(),
         ss_res,
         ss_tot,
-    })
+    }
 }
 
-/// Validates predictor/response shapes and assembles the design matrix
-/// with its leading intercept column — the entry shared by [`fit`] and
-/// [`residual_ss`], so both agree on every accepted design.
-fn design_matrix(predictors: &[NamedColumn], y: &[f64]) -> Result<Matrix, OlsError> {
+/// The normal equations `XᵀX β = Xᵀy` of `y ~ 1 + predictors`: the lower
+/// triangle of `XᵀX` (all that the Cholesky factorization reads) and
+/// `Xᵀy`, formed straight from the predictor columns without
+/// materializing the dense design `X = [1 | predictors]`. Shared by [`fit`]
+/// and [`residual_ss`], so both validate and accumulate identically.
+///
+/// Every entry adds its row products in ascending row order. Each row is
+/// gathered once: the indices of its non-zero design columns (the
+/// intercept first) into one flat list, its values into a dense row buffer
+/// that is zero elsewhere. Row `b` of the lower triangle then takes
+/// `x_a·x_b` for every `a ≤ b` in one contiguous pass, for the non-zero
+/// `x_b` only. The dense loop skipped zero `x_a` instead; the two differ
+/// only by products with an exact zero factor. Those are ±0.0 while the
+/// other factor is finite, and an accumulator that starts at +0.0 never
+/// becomes −0.0, so it absorbs them unchanged. A non-finite predictor
+/// entry is the exception: it makes its column's diagonal non-finite, so
+/// the factorization fails either way. For the same reason `Xᵀy` skips a
+/// row's zero entries only while `y_r` is finite.
+fn normal_equations(predictors: &[NamedColumn], y: &[f64]) -> Result<(Matrix, Vec<f64>), OlsError> {
     let n = y.len();
     if predictors.iter().any(|c| c.values.len() != n) {
         return Err(OlsError::LengthMismatch);
@@ -166,27 +188,71 @@ fn design_matrix(predictors: &[NamedColumn], y: &[f64]) -> Result<Matrix, OlsErr
     if n <= p + 1 {
         return Err(OlsError::TooFewObservations);
     }
-    let mut x = Matrix::zeros(n, p + 1);
-    for r in 0..n {
-        x[(r, 0)] = 1.0;
+    let dim = p + 1;
+    let mut gram = Matrix::zeros(dim, dim);
+    let mut xty = vec![0.0; dim];
+    let mut nonzero = Vec::with_capacity(dim);
+    let mut row = vec![0.0; dim];
+    row[0] = 1.0;
+    for (r, &yr) in y.iter().enumerate() {
+        nonzero.clear();
+        nonzero.push(0);
         for (j, col) in predictors.iter().enumerate() {
-            x[(r, j + 1)] = col.values[r];
+            let v = col.values[r];
+            if v != 0.0 {
+                nonzero.push(j + 1);
+                row[j + 1] = v;
+            }
+        }
+        for &b in &nonzero {
+            let xb = row[b];
+            for (g, &xa) in gram.row_mut(b)[..=b].iter_mut().zip(&row[..=b]) {
+                *g += xa * xb;
+            }
+        }
+        if yr.is_finite() {
+            if yr != 0.0 {
+                for &c in &nonzero {
+                    xty[c] += row[c] * yr;
+                }
+            }
+        } else {
+            for (o, &x) in xty.iter_mut().zip(&row) {
+                *o += x * yr;
+            }
+        }
+        for &c in &nonzero[1..] {
+            row[c] = 0.0;
         }
     }
-    Ok(x)
+    Ok((gram, xty))
 }
 
 /// Residual and total sums of squares of `y` against the fitted values
 /// `X β`.
-fn sums_of_squares(x: &Matrix, beta: &[f64], y: &[f64]) -> (f64, f64) {
-    let fitted = x.vec_mul(beta);
+///
+/// Operation order, as the dense row-by-row computation: each fitted
+/// value is the `Iterator::sum` of `x_rc·β_c` over the design columns `c`
+/// in ascending order, zeros included; `ss_res` and `ss_tot` add the
+/// squared residuals and the squared deviations from the mean in
+/// ascending row order. The sums run one column at a time over all rows,
+/// so each step is an element-wise pass.
+fn sums_of_squares(predictors: &[NamedColumn], y: &[f64], beta: &[f64]) -> (f64, f64) {
+    // `sum` starts from its own identity, then adds 1·β₀ = β₀.
+    let intercept: f64 = std::iter::once(beta[0]).sum();
+    let mut fitted = vec![intercept; y.len()];
+    for (col, &b) in predictors.iter().zip(&beta[1..]) {
+        for (f, &x) in fitted.iter_mut().zip(&col.values) {
+            *f += x * b;
+        }
+    }
     let y_mean = crate::describe::mean(y);
     let mut ss_res = 0.0;
     let mut ss_tot = 0.0;
-    for (i, &yi) in y.iter().enumerate() {
-        let r = yi - fitted[i];
-        ss_res += r * r;
-        let d = yi - y_mean;
+    for (&yr, &fit) in y.iter().zip(&fitted) {
+        let res = yr - fit;
+        ss_res += res * res;
+        let d = yr - y_mean;
         ss_tot += d * d;
     }
     (ss_res, ss_tot)
@@ -223,16 +289,24 @@ impl SumOfSquares {
 /// pair), where coefficients and standard errors of the auxiliary models
 /// are never consulted.
 ///
+/// Operation order: every entry of `XᵀX` and `Xᵀy` (with `X = [1 |
+/// predictors]`) adds its rounded products row by row in ascending row
+/// order, starting from +0.0; `β` comes from [`Matrix::solve_spd`]; each
+/// fitted value is the `Iterator::sum` of `x_rc·β_c` over ascending
+/// columns `c`; and `ss_res`, `ss_tot` add squared residuals and squared
+/// deviations from the mean in ascending row order. Products with an
+/// exact zero factor are left out of `XᵀX` and `Xᵀy` only where that
+/// cannot change a result bit, so the sums equal those of the dense
+/// row-by-row computation for every input, non-finite ones included.
+///
 /// # Errors
 ///
 /// See [`OlsError`]. Agrees with [`fit`] on `ss_res`/`ss_tot` to
 /// numerical precision for every design [`fit`] accepts.
 pub fn residual_ss(predictors: &[NamedColumn], y: &[f64]) -> Result<SumOfSquares, OlsError> {
-    let x = design_matrix(predictors, y)?;
-    let gram = x.gram();
-    let xty = x.t_vec_mul(y);
-    let beta = gram.solve_spd(&xty).ok_or(OlsError::Singular)?;
-    let (ss_res, ss_tot) = sums_of_squares(&x, &beta, y);
+    let (gram, xty) = normal_equations(predictors, y)?;
+    let beta = gram.into_solve_spd(&xty).ok_or(OlsError::Singular)?;
+    let (ss_res, ss_tot) = sums_of_squares(predictors, y, &beta);
     Ok(SumOfSquares {
         ss_res,
         ss_tot,

@@ -18,34 +18,50 @@ fn synthetic_level(i: usize, salt: u64, levels: usize) -> usize {
     (z ^ (z >> 31)) as usize % levels
 }
 
+/// An `n`, then `n·n` matrix entries in `-scale..scale` and `n` right-hand
+/// side entries in `-10..10`.
+fn square_system(
+    sizes: std::ops::Range<usize>,
+    scale: f64,
+) -> impl Strategy<Value = (usize, Vec<f64>, Vec<f64>)> {
+    sizes.prop_flat_map(move |n| {
+        (
+            Just(n),
+            proptest::collection::vec(-scale..scale, n * n),
+            proptest::collection::vec(-10.0f64..10.0, n),
+        )
+    })
+}
+
 proptest! {
     /// Cholesky-based solves actually solve: ‖Ax − b‖ small for random
-    /// SPD matrices A = MᵀM + I.
+    /// SPD matrices A = MᵀM + I of every size up to 40, which covers every
+    /// remainder of the factorization's row blocks.
     #[test]
-    fn spd_solve_residual(entries in proptest::collection::vec(-3.0f64..3.0, 16), b in proptest::collection::vec(-10.0f64..10.0, 4)) {
-        let m = Matrix::from_rows(4, 4, &entries);
+    fn spd_solve_residual((n, entries, b) in square_system(1..41, 3.0)) {
+        let m = Matrix::from_rows(n, n, &entries);
         let mut a = m.gram();
-        for i in 0..4 {
+        for i in 0..n {
             a[(i, i)] += 1.0; // guarantee positive definiteness
         }
         let x = a.solve_spd(&b).expect("SPD by construction");
         let ax = a.vec_mul(&x);
         for (l, r) in ax.iter().zip(&b) {
-            prop_assert!((l - r).abs() < 1e-6, "residual {} vs {}", l, r);
+            prop_assert!((l - r).abs() < 1e-6, "n={} residual {} vs {}", n, l, r);
         }
     }
 
-    /// The SPD inverse really inverts.
+    /// The SPD inverse really inverts, across row-block remainders.
     #[test]
-    fn spd_inverse_identity(entries in proptest::collection::vec(-2.0f64..2.0, 9)) {
-        let m = Matrix::from_rows(3, 3, &entries);
+    fn spd_inverse_identity((n, entries, _) in square_system(1..20, 2.0)) {
+        let m = Matrix::from_rows(n, n, &entries);
         let mut a = m.gram();
-        for i in 0..3 {
+        for i in 0..n {
             a[(i, i)] += 1.0;
         }
         let inv = a.inverse_spd().expect("SPD");
         let prod = a.matmul(&inv);
-        prop_assert!(prod.max_abs_diff(&Matrix::identity(3)) < 1e-8);
+        prop_assert!(prod.max_abs_diff(&Matrix::identity(n)) < 1e-8, "n={}", n);
     }
 
     /// ln_gamma satisfies the recurrence Γ(x+1) = xΓ(x).
@@ -108,21 +124,29 @@ proptest! {
         prop_assert!(c_hi >= c_lo - 1e-12);
     }
 
-    /// OLS recovers planted coefficients on synthetic dummy-coded data:
-    /// y = intercept + Σ effect[level] + small deterministic noise, with
-    /// every non-baseline level's estimate within tolerance of its planted
-    /// effect.
+    /// OLS recovers planted coefficients on synthetic Table 3-shaped data:
+    /// y = intercept + Σ effect[level] + slope·z + interaction·[top level]·z
+    /// + small deterministic noise, with a numeric covariate `z` beside the
+    /// dummies and one dummy × covariate interaction column. Every
+    /// non-baseline level's estimate, the slope and the interaction must be
+    /// within tolerance of what was planted.
     #[test]
     fn fit_recovers_planted_dummy_effects(
         levels in 2usize..5,
         salt in 0u64..1_000_000,
         intercept in -2.0f64..2.0,
         effect_scale in 0.2f64..3.0,
+        slope in -1.0f64..1.0,
+        interaction in -1.0f64..1.0,
     ) {
         let n = 240;
         let values: Vec<usize> = (0..n).map(|i| synthetic_level(i, salt, levels)).collect();
         // Every level must actually occur, or its dummy column is zero.
         prop_assume!((0..levels).all(|l| values.contains(&l)));
+        let top = levels - 1;
+        let z: Vec<f64> = (0..n)
+            .map(|i| synthetic_level(i, salt ^ 0x5A, 201) as f64 / 100.0 - 1.0)
+            .collect();
         // Planted per-level effects, level 0 = baseline = 0.
         let effect = |l: usize| effect_scale * l as f64;
         let y: Vec<f64> = values
@@ -130,21 +154,30 @@ proptest! {
             .enumerate()
             .map(|(i, &l)| {
                 let noise = ((i * 37 % 11) as f64 - 5.0) / 500.0;
-                intercept + effect(l) + noise
+                let inter = if l == top { interaction * z[i] } else { 0.0 };
+                intercept + effect(l) + slope * z[i] + inter + noise
             })
             .collect();
         let names: Vec<String> = (0..levels).map(|l| format!("L{l}")).collect();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let cols = dsa_stats::encode::dummy_columns(&values, &name_refs);
-        let f = fit(&cols, &y).expect("full-rank dummy design");
+        let mut cols = dsa_stats::encode::dummy_columns(&values, &name_refs);
+        let top_dummy: Vec<f64> = cols[top - 1].values.iter().zip(&z).map(|(d, z)| d * z).collect();
+        cols.push(NamedColumn::new("z", z));
+        cols.push(NamedColumn::new("top:z", top_dummy));
+        let f = fit(&cols, &y).expect("full-rank design");
         prop_assert!((f.terms[0].estimate - intercept).abs() < 0.05, "intercept {}", f.terms[0].estimate);
-        for (j, term) in f.terms.iter().skip(1).enumerate() {
+        for (j, term) in f.terms.iter().skip(1).take(levels - 1).enumerate() {
             let planted = effect(j + 1);
             prop_assert!(
                 (term.estimate - planted).abs() < 0.05,
                 "level {} estimate {} vs planted {}", j + 1, term.estimate, planted
             );
         }
+        prop_assert!((f.terms[levels].estimate - slope).abs() < 0.05, "slope {}", f.terms[levels].estimate);
+        prop_assert!(
+            (f.terms[levels + 1].estimate - interaction).abs() < 0.05,
+            "interaction {}", f.terms[levels + 1].estimate
+        );
         prop_assert!(f.adj_r_squared > 0.95);
     }
 
