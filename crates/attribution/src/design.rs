@@ -17,7 +17,7 @@
 
 use dsa_core::parallel::parallel_map_indexed;
 use dsa_core::space::DesignSpace;
-use dsa_stats::encode::NamedColumn;
+use dsa_stats::ols::Design;
 use std::ops::Range;
 
 /// How one design dimension is coded in a [`DesignMatrix`].
@@ -30,26 +30,30 @@ pub struct DimCode {
     /// Original level indices present among the rows, in enumeration
     /// order; the first entry is the baseline and has no column.
     pub levels: Vec<usize>,
-    /// The dimension's column range inside [`DesignMatrix::columns`]
+    /// The dimension's column range inside the main-effects design
     /// (`levels.len() − 1` indicator columns).
     pub cols: Range<usize>,
+    /// The column coding each original level, indexed by level: `None`
+    /// for the baseline and for absent levels.
+    column: Vec<Option<usize>>,
 }
 
 impl DimCode {
-    /// The column position (inside the matrix's column list) coding
+    /// The column position (inside the main-effects design) coding
     /// original level `level`, or `None` for the baseline level and for
     /// levels absent from the row subset.
     #[must_use]
     pub fn column_of(&self, level: usize) -> Option<usize> {
-        let pos = self.levels.iter().position(|&l| l == level)?;
-        if pos == 0 {
-            return None;
-        }
-        Some(self.cols.start + pos - 1)
+        self.column.get(level).copied().flatten()
     }
 }
 
 /// A dummy-coded design matrix over a row subset of a design space.
+///
+/// It holds each row's level coordinates, not the indicator columns:
+/// [`DesignMatrix::main_effects`], [`DesignMatrix::without`] and
+/// [`DesignMatrix::with_interaction`] are [`Design`] views that derive a
+/// row's few non-zero entries from its coordinates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignMatrix {
     /// Space indices of the observations, in row order.
@@ -58,8 +62,9 @@ pub struct DesignMatrix {
     pub coords: Vec<Vec<usize>>,
     /// Coded dimensions — only those with at least two present levels.
     pub dims: Vec<DimCode>,
-    /// The indicator columns, dimension-major, named `"Dim=Level"`.
-    pub columns: Vec<NamedColumn>,
+    /// Names of the main-effects indicator columns, dimension-major,
+    /// `"Dim=Level"`.
+    pub names: Vec<String>,
 }
 
 impl DesignMatrix {
@@ -93,7 +98,7 @@ impl DesignMatrix {
             }
         }
         let mut dims = Vec::new();
-        let mut columns = Vec::new();
+        let mut names = Vec::new();
         for (d, dim) in space.dimensions().iter().enumerate() {
             let mut seen = vec![false; dim.len()];
             for c in &coords {
@@ -105,29 +110,25 @@ impl DesignMatrix {
                 // to attribute to it.
                 continue;
             }
-            let start = columns.len();
+            let start = names.len();
+            let mut column = vec![None; dim.len()];
             for &level in &present[1..] {
-                let values: Vec<f64> = coords
-                    .iter()
-                    .map(|c| f64::from(u8::from(c[d] == level)))
-                    .collect();
-                columns.push(NamedColumn::new(
-                    format!("{}={}", dim.name, dim.levels[level]),
-                    values,
-                ));
+                column[level] = Some(names.len());
+                names.push(format!("{}={}", dim.name, dim.levels[level]));
             }
             dims.push(DimCode {
                 dim: d,
                 name: dim.name.clone(),
                 levels: present,
-                cols: start..columns.len(),
+                cols: start..names.len(),
+                column,
             });
         }
         Self {
             rows: rows.to_vec(),
             coords,
             dims,
-            columns,
+            names,
         }
     }
 
@@ -137,42 +138,125 @@ impl DesignMatrix {
         self.rows.len()
     }
 
-    /// The main-effect columns with one coded dimension's block removed —
-    /// the reduced model of that dimension's nested-model test.
+    /// The main-effects design: every coded dimension's indicator columns.
     #[must_use]
-    pub fn without(&self, coded_dim: usize) -> Vec<NamedColumn> {
-        let drop = &self.dims[coded_dim].cols;
-        self.columns
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| !drop.contains(j))
-            .map(|(_, c)| c.clone())
-            .collect()
+    pub fn main_effects(&self) -> DesignView<'_> {
+        DesignView {
+            dm: self,
+            shape: Shape::Main,
+        }
     }
 
-    /// The main-effect columns plus the pairwise product columns of two
-    /// coded dimensions — the augmented model of the interaction scan.
-    /// Returns the columns and the number of interaction columns added.
+    /// The main effects with one coded dimension's block removed — the
+    /// reduced model of that dimension's nested-model test.
     #[must_use]
-    pub fn with_interaction(&self, a: usize, b: usize) -> (Vec<NamedColumn>, usize) {
-        let mut out = self.columns.clone();
-        let before = out.len();
-        for ca in self.dims[a].cols.clone() {
-            for cb in self.dims[b].cols.clone() {
-                let values: Vec<f64> = self.columns[ca]
-                    .values
-                    .iter()
-                    .zip(&self.columns[cb].values)
-                    .map(|(x, y)| x * y)
-                    .collect();
-                out.push(NamedColumn::new(
-                    format!("{}×{}", self.columns[ca].name, self.columns[cb].name),
-                    values,
-                ));
+    pub fn without(&self, coded_dim: usize) -> DesignView<'_> {
+        DesignView {
+            dm: self,
+            shape: Shape::Without(coded_dim),
+        }
+    }
+
+    /// The main effects plus the pairwise product columns of two coded
+    /// dimensions, `a`-major — the augmented model of the interaction
+    /// scan.
+    #[must_use]
+    pub fn with_interaction(&self, a: usize, b: usize) -> DesignView<'_> {
+        DesignView {
+            dm: self,
+            shape: Shape::Interaction(a, b),
+        }
+    }
+}
+
+/// Which columns a [`DesignView`] shows.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Main,
+    Without(usize),
+    Interaction(usize, usize),
+}
+
+/// A dummy-coded regression design read from a [`DesignMatrix`]'s
+/// coordinates. Each row has at most one non-zero indicator per coded
+/// dimension, plus at most one product column.
+#[derive(Debug, Clone, Copy)]
+pub struct DesignView<'a> {
+    dm: &'a DesignMatrix,
+    shape: Shape,
+}
+
+impl DesignView<'_> {
+    /// The number of product columns an interaction view adds to the main
+    /// effects; 0 for the other views.
+    #[must_use]
+    pub(crate) fn interaction_columns(&self) -> usize {
+        match self.shape {
+            Shape::Interaction(a, b) => self.dm.dims[a].cols.len() * self.dm.dims[b].cols.len(),
+            Shape::Main | Shape::Without(_) => 0,
+        }
+    }
+}
+
+impl Design for DesignView<'_> {
+    fn width(&self) -> usize {
+        let main = self.dm.names.len();
+        match self.shape {
+            Shape::Main => main,
+            Shape::Without(k) => main - self.dm.dims[k].cols.len(),
+            Shape::Interaction(..) => main + self.interaction_columns(),
+        }
+    }
+
+    fn has_rows(&self, n: usize) -> bool {
+        self.dm.n() == n
+    }
+
+    fn name(&self, j: usize) -> String {
+        let names = &self.dm.names;
+        match self.shape {
+            Shape::Main => names[j].clone(),
+            Shape::Without(k) => {
+                let drop = &self.dm.dims[k].cols;
+                let j = if j < drop.start { j } else { j + drop.len() };
+                names[j].clone()
+            }
+            Shape::Interaction(a, b) => match j.checked_sub(names.len()) {
+                None => names[j].clone(),
+                Some(product) => {
+                    let (ca, cb) = (&self.dm.dims[a].cols, &self.dm.dims[b].cols);
+                    let ja = ca.start + product / cb.len();
+                    let jb = cb.start + product % cb.len();
+                    format!("{}×{}", names[ja], names[jb])
+                }
+            },
+        }
+    }
+
+    fn row(&self, r: usize, mut entry: impl FnMut(usize, f64)) {
+        let coords = &self.dm.coords[r];
+        let skip = match self.shape {
+            Shape::Without(k) => Some(k),
+            Shape::Main | Shape::Interaction(..) => None,
+        };
+        // Columns after a skipped block move down by its width.
+        let mut shift = 0;
+        for (k, code) in self.dm.dims.iter().enumerate() {
+            if skip == Some(k) {
+                shift = code.cols.len();
+            } else if let Some(j) = code.column_of(coords[code.dim]) {
+                entry(j - shift, 1.0);
             }
         }
-        let added = out.len() - before;
-        (out, added)
+        if let Shape::Interaction(a, b) = self.shape {
+            let (da, db) = (&self.dm.dims[a], &self.dm.dims[b]);
+            if let (Some(ja), Some(jb)) =
+                (da.column_of(coords[da.dim]), db.column_of(coords[db.dim]))
+            {
+                let product = (ja - da.cols.start) * db.cols.len() + (jb - db.cols.start);
+                entry(self.dm.names.len() + product, 1.0);
+            }
+        }
     }
 }
 
@@ -191,6 +275,17 @@ mod tests {
         )
     }
 
+    /// Row `r` of a design as its `(column, value)` entries.
+    fn entries(design: &impl Design, r: usize) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        design.row(r, |j, x| out.push((j, x)));
+        out
+    }
+
+    fn names(design: &impl Design) -> Vec<String> {
+        (0..design.width()).map(|j| design.name(j)).collect()
+    }
+
     #[test]
     fn full_space_codes_every_non_baseline_level() {
         let s = space();
@@ -198,17 +293,21 @@ mod tests {
         let dm = DesignMatrix::build(&s, &rows, 1);
         assert_eq!(dm.n(), 6);
         assert_eq!(dm.dims.len(), 2);
-        let names: Vec<&str> = dm.columns.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["A=a1", "A=a2", "B=b1"]);
+        assert_eq!(dm.names, vec!["A=a1", "A=a2", "B=b1"]);
+        let main = dm.main_effects();
+        assert_eq!(names(&main), dm.names);
+        assert!(main.has_rows(6) && !main.has_rows(5));
         // Row 3 = coords [1, 1]: A=a1 and B=b1 indicators set.
         assert_eq!(dm.coords[3], vec![1, 1]);
-        assert_eq!(dm.columns[0].values[3], 1.0);
-        assert_eq!(dm.columns[1].values[3], 0.0);
-        assert_eq!(dm.columns[2].values[3], 1.0);
+        assert_eq!(entries(&main, 3), vec![(0, 1.0), (2, 1.0)]);
+        // The baseline row has no non-zero entry.
+        assert_eq!(dm.coords[0], vec![0, 0]);
+        assert!(entries(&main, 0).is_empty());
         // Column lookup: baseline and absent levels have no column.
         assert_eq!(dm.dims[0].column_of(0), None);
         assert_eq!(dm.dims[0].column_of(1), Some(0));
         assert_eq!(dm.dims[0].column_of(2), Some(1));
+        assert_eq!(dm.dims[0].column_of(3), None);
         assert_eq!(dm.dims[1].column_of(1), Some(2));
     }
 
@@ -221,11 +320,13 @@ mod tests {
         assert_eq!(dm.dims[0].name, "A");
         assert_eq!(dm.dims[0].levels, vec![1, 2]);
         // a1 is the subset's baseline; only a2 gets a column.
-        let names: Vec<&str> = dm.columns.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["A=a2"]);
+        assert_eq!(dm.names, vec!["A=a2"]);
         assert_eq!(dm.dims[0].column_of(1), None);
         assert_eq!(dm.dims[0].column_of(2), Some(0));
         assert_eq!(dm.dims[0].column_of(0), None);
+        let main = dm.main_effects();
+        assert!(entries(&main, 0).is_empty());
+        assert_eq!(entries(&main, 1), vec![(0, 1.0)]);
     }
 
     #[test]
@@ -244,18 +345,27 @@ mod tests {
         let rows: Vec<usize> = s.indices().collect();
         let dm = DesignMatrix::build(&s, &rows, 1);
         let without_a = dm.without(0);
-        assert_eq!(without_a.len(), 1);
-        assert_eq!(without_a[0].name, "B=b1");
-        let (with_ab, added) = dm.with_interaction(0, 1);
-        assert_eq!(added, 2);
-        assert_eq!(with_ab.len(), 5);
-        assert_eq!(with_ab[3].name, "A=a1×B=b1");
+        assert_eq!(names(&without_a), vec!["B=b1"]);
+        assert_eq!(without_a.interaction_columns(), 0);
+        // Row 3 = [1, 1]: only B=b1 is left, moved to column 0.
+        assert_eq!(entries(&without_a, 3), vec![(0, 1.0)]);
+        let without_b = dm.without(1);
+        assert_eq!(names(&without_b), vec!["A=a1", "A=a2"]);
+        assert_eq!(entries(&without_b, 3), vec![(0, 1.0)]);
+        let with_ab = dm.with_interaction(0, 1);
+        assert_eq!(with_ab.interaction_columns(), 2);
+        assert_eq!(
+            names(&with_ab),
+            vec!["A=a1", "A=a2", "B=b1", "A=a1×B=b1", "A=a2×B=b1"]
+        );
         // The product column is the AND of its factors.
-        for r in 0..dm.n() {
-            assert_eq!(
-                with_ab[3].values[r],
-                dm.columns[0].values[r] * dm.columns[2].values[r]
-            );
+        for (r, c) in dm.coords.iter().enumerate() {
+            let main = entries(&dm.main_effects(), r);
+            let mut want = main.clone();
+            if c[0] > 0 && c[1] > 0 {
+                want.push((3 + c[0] - 1, 1.0));
+            }
+            assert_eq!(entries(&with_ab, r), want, "row {r}");
         }
     }
 }

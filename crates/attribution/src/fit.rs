@@ -75,13 +75,11 @@ impl AxisAttribution {
     pub fn level_estimate(&self, dm: &DesignMatrix, coded_dim: usize, level: usize) -> Option<f64> {
         let fit = self.fit.as_ref()?;
         let code = &dm.dims[coded_dim];
-        if !code.levels.contains(&level) {
-            return None;
-        }
         Some(match code.column_of(level) {
             // terms[0] is the intercept; column j is term j + 1.
             Some(col) => fit.terms[col + 1].estimate,
-            None => 0.0,
+            None if code.levels[0] == level => 0.0,
+            None => return None,
         })
     }
 }
@@ -129,8 +127,9 @@ pub fn one_way_eta_sq(dm: &DesignMatrix, coded_dim: usize, y: &[f64]) -> f64 {
 #[must_use]
 pub fn attribute_axis(dm: &DesignMatrix, axis: &str, y: &[f64]) -> AxisAttribution {
     assert_eq!(y.len(), dm.n(), "response length must match the rows");
-    let full_ss = residual_ss(&dm.columns, y).ok();
-    let full_fit = full_ss.and_then(|_| fit(&dm.columns, y).ok());
+    let main = dm.main_effects();
+    let full_ss = residual_ss(&main, y).ok();
+    let full_fit = full_ss.and_then(|_| fit(&main, y).ok());
     let dims = (0..dm.dims.len())
         .map(|k| {
             let eta_sq = one_way_eta_sq(dm, k, y);
@@ -190,13 +189,14 @@ pub struct InteractionEffect {
 #[must_use]
 pub fn interaction_scan(dm: &DesignMatrix, y: &[f64]) -> Vec<InteractionEffect> {
     assert_eq!(y.len(), dm.n(), "response length must match the rows");
-    let main = residual_ss(&dm.columns, y).ok();
+    let main = residual_ss(&dm.main_effects(), y).ok();
     let k = dm.dims.len();
     let mut out = Vec::new();
     for a in 0..k {
         for b in (a + 1)..k {
-            let (cols, added) = dm.with_interaction(a, b);
-            let effect = match (main, residual_ss(&cols, y)) {
+            let augmented = dm.with_interaction(a, b);
+            let added = augmented.interaction_columns();
+            let effect = match (main, residual_ss(&augmented, y)) {
                 (Some(main_ss), Ok(aug)) => {
                     let (f_stat, p_value) = nested_f_test(&aug, &main_ss);
                     InteractionEffect {

@@ -39,7 +39,7 @@ pub mod navigate;
 pub mod response;
 pub mod sweep;
 
-pub use design::{DesignMatrix, DimCode};
+pub use design::{DesignMatrix, DesignView, DimCode};
 pub use fit::{attribute_axis, interaction_scan, AxisAttribution, DimEffect, InteractionEffect};
 pub use navigate::{navigate, FlipSuggestion};
 pub use response::{attack_surface, evolution_surface, pra_surface, ResponseKind, ResponseSurface};

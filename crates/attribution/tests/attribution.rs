@@ -2,14 +2,19 @@
 //! (gossip — small enough to sweep inside a test) and its stamped cache.
 
 use dsa_attribution::{
-    attribute_surface, evolution_surface, fingerprint, navigate, pra_surface, AttribTable,
-    DesignMatrix, ResponseKind,
+    attribute_axis, attribute_surface, evolution_surface, fingerprint, interaction_scan, navigate,
+    pra_surface, AttribTable, DesignMatrix, ResponseKind,
 };
 use dsa_core::cache::read_stamped;
 use dsa_core::domain::Effort;
 use dsa_core::pra::PraConfig;
+use dsa_core::space::DesignSpace;
 use dsa_core::tournament::OpponentSampling;
 use dsa_evolution::payoff::EvoConfig;
+use dsa_stats::encode::NamedColumn;
+use dsa_stats::ols::{
+    fit, nested_f_test, partial_eta_squared, residual_ss, Design, OlsFit, SumOfSquares,
+};
 use std::path::PathBuf;
 
 fn smoke_pra() -> PraConfig {
@@ -181,4 +186,203 @@ fn response_kinds_resolve() {
         ResponseKind::by_name("evolution"),
         Some(ResponseKind::Evolution)
     );
+}
+
+/// The dense 0/1 main-effects columns a design matrix stands for, built
+/// straight from its coordinates: one indicator per non-baseline present
+/// level, dimension-major, named `Dim=Level`. Returns the columns and each
+/// coded dimension's block.
+fn dense_main(space: &DesignSpace, dm: &DesignMatrix) -> (Vec<NamedColumn>, Vec<(usize, usize)>) {
+    let mut cols = Vec::new();
+    let mut blocks = Vec::new();
+    for code in &dm.dims {
+        let dim = &space.dimensions()[code.dim];
+        let start = cols.len();
+        for &level in &code.levels[1..] {
+            let values = dm
+                .coords
+                .iter()
+                .map(|c| f64::from(u8::from(c[code.dim] == level)))
+                .collect();
+            cols.push(NamedColumn::new(
+                format!("{}={}", dim.name, dim.levels[level]),
+                values,
+            ));
+        }
+        blocks.push((start, cols.len()));
+    }
+    (cols, blocks)
+}
+
+/// The main-effects columns without block `k`.
+fn dense_without(main: &[NamedColumn], blocks: &[(usize, usize)], k: usize) -> Vec<NamedColumn> {
+    let (lo, hi) = blocks[k];
+    [&main[..lo], &main[hi..]].concat()
+}
+
+/// The main-effects columns plus the products of blocks `a` and `b`,
+/// `a`-major.
+fn dense_interaction(
+    main: &[NamedColumn],
+    blocks: &[(usize, usize)],
+    a: usize,
+    b: usize,
+) -> Vec<NamedColumn> {
+    let mut out = main.to_vec();
+    for ca in &main[blocks[a].0..blocks[a].1] {
+        for cb in &main[blocks[b].0..blocks[b].1] {
+            let values = ca
+                .values
+                .iter()
+                .zip(&cb.values)
+                .map(|(x, y)| x * y)
+                .collect();
+            out.push(NamedColumn::new(format!("{}×{}", ca.name, cb.name), values));
+        }
+    }
+    out
+}
+
+/// Asserts that a view has the dense columns' names and that each of its
+/// rows reports exactly their non-zero entries, in column order.
+fn assert_view_is(view: &impl Design, dense: &[NamedColumn]) {
+    assert_eq!(view.width(), dense.len());
+    for (j, c) in dense.iter().enumerate() {
+        assert_eq!(view.name(j), c.name);
+    }
+    let n = dense.first().map_or(0, |c| c.values.len());
+    assert!(view.has_rows(n));
+    for r in 0..n {
+        let mut got = Vec::new();
+        view.row(r, |j, x| got.push((j, x.to_bits())));
+        let want: Vec<(usize, u64)> = dense
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.values[r] != 0.0)
+            .map(|(j, c)| (j, c.values[r].to_bits()))
+            .collect();
+        assert_eq!(got, want, "row {r}");
+    }
+}
+
+fn fit_bits(f: &OlsFit) -> (Vec<String>, Vec<u64>) {
+    let mut v: Vec<f64> = f
+        .terms
+        .iter()
+        .flat_map(|t| [t.estimate, t.std_error, t.t_value, t.p_value])
+        .collect();
+    v.extend([
+        f.r_squared,
+        f.adj_r_squared,
+        f.residual_std_error,
+        f.ss_res,
+        f.ss_tot,
+        f.df_residual as f64,
+    ]);
+    let names = f.terms.iter().map(|t| t.name.clone()).collect();
+    (names, v.iter().map(|x| x.to_bits()).collect())
+}
+
+fn ss_bits(s: &SumOfSquares) -> (u64, u64, usize) {
+    (s.ss_res.to_bits(), s.ss_tot.to_bits(), s.df_residual)
+}
+
+/// Checks every attribution view of the full space against the dense
+/// columns it stands for, then `attribute_axis` and `interaction_scan`
+/// bit for bit against the same models fed through those columns.
+fn assert_views_match_dense(space: &DesignSpace, y: &[f64]) {
+    let rows: Vec<usize> = space.indices().collect();
+    let dm = DesignMatrix::build(space, &rows, 1);
+    let (main, blocks) = dense_main(space, &dm);
+    let k = dm.dims.len();
+
+    assert_view_is(&dm.main_effects(), &main);
+    let full = residual_ss(&main, y).expect("full-rank main effects");
+    assert_eq!(
+        ss_bits(&residual_ss(&dm.main_effects(), y).unwrap()),
+        ss_bits(&full)
+    );
+    let at = attribute_axis(&dm, "synthetic", y);
+    let dense_fit = fit(&main, y).expect("full-rank main effects");
+    assert_eq!(
+        fit_bits(at.fit.as_ref().expect("fit")),
+        fit_bits(&dense_fit)
+    );
+    for (d, effect) in at.dims.iter().enumerate() {
+        let without = dense_without(&main, &blocks, d);
+        assert_view_is(&dm.without(d), &without);
+        let reduced = residual_ss(&without, y).expect("full-rank reduced model");
+        assert_eq!(
+            ss_bits(&residual_ss(&dm.without(d), y).unwrap()),
+            ss_bits(&reduced)
+        );
+        let (f_stat, p_value) = nested_f_test(&full, &reduced);
+        assert_eq!(effect.f_stat.to_bits(), f_stat.to_bits(), "{}", effect.name);
+        assert_eq!(
+            effect.p_value.to_bits(),
+            p_value.to_bits(),
+            "{}",
+            effect.name
+        );
+        assert_eq!(
+            effect.partial_eta_sq.to_bits(),
+            partial_eta_squared(&full, &reduced).to_bits(),
+            "{}",
+            effect.name
+        );
+    }
+
+    let scan = interaction_scan(&dm, y);
+    assert_eq!(scan.len(), k * (k - 1) / 2);
+    for a in 0..k {
+        for b in a + 1..k {
+            let dense = dense_interaction(&main, &blocks, a, b);
+            let view = dm.with_interaction(a, b);
+            assert_view_is(&view, &dense);
+            let aug = residual_ss(&dense, y).expect("full-rank interaction model");
+            assert_eq!(ss_bits(&residual_ss(&view, y).unwrap()), ss_bits(&aug));
+            let effect = scan
+                .iter()
+                .find(|e| e.dim_a == dm.dims[a].name && e.dim_b == dm.dims[b].name)
+                .expect("scanned pair");
+            assert_eq!(effect.columns, dense.len() - main.len());
+            let delta_r2 = (aug.r_squared() - full.r_squared()).max(0.0);
+            let (f_stat, p_value) = nested_f_test(&aug, &full);
+            assert_eq!(effect.delta_r2.to_bits(), delta_r2.to_bits());
+            assert_eq!(effect.f_stat.to_bits(), f_stat.to_bits());
+            assert_eq!(effect.p_value.to_bits(), p_value.to_bits());
+        }
+    }
+}
+
+#[test]
+fn rep_space_views_match_the_dense_design_bit_for_bit() {
+    let space = dsa_reputation::protocol::design_space();
+    let y: Vec<f64> = space
+        .indices()
+        .map(|i| {
+            let c = space.coords(i);
+            let noise = ((i * 37 % 11) as f64 - 5.0) / 100.0;
+            0.3 * c[2] as f64 + 0.2 * c[3] as f64 + 0.05 * c[0] as f64 + noise
+        })
+        .collect();
+    assert_views_match_dense(&space, &y);
+}
+
+#[test]
+fn swarm_space_views_match_the_dense_design_bit_for_bit() {
+    let space = dsa_swarm::protocol::design_space();
+    let y: Vec<f64> = space
+        .indices()
+        .map(|i| {
+            let c = space.coords(i);
+            let noise = ((i * 37 % 11) as f64 - 5.0) / 100.0;
+            0.3 * c[0] as f64
+                + 0.01 * (c[1] % 12) as f64
+                + 0.2 * c[2] as f64
+                + 0.002 * (c[0] * (c[1] % 7)) as f64
+                + noise
+        })
+        .collect();
+    assert_views_match_dense(&space, &y);
 }

@@ -3,7 +3,7 @@
 //!
 //! These benches are about keeping every reproduction path healthy and
 //! measurable — the recorded scientific outputs come from the
-//! `experiments` binary at `--scale lab` (see `EXPERIMENTS.md`).
+//! `experiments` binary at `--scale lab`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsa_bench::figures;

@@ -149,6 +149,7 @@ mod tests {
     /// against the gossip domain alone instead.
     #[test]
     fn gossip_attack_sweep_runs_and_caches() {
+        let _guard = crate::test_lock::cache();
         let dir = std::env::temp_dir().join(format!("dsa-attackfig-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let scale = Scale::smoke();

@@ -28,6 +28,7 @@ mod tests {
 
     #[test]
     fn gossip_dsa_runs_caches_and_reports() {
+        let _guard = crate::test_lock::cache();
         let dir = std::env::temp_dir().join(format!("dsa-gossipfig-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let scale = Scale::smoke();

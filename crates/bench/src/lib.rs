@@ -6,9 +6,9 @@
 //! Criterion benches in `benches/` time each experiment at smoke scale so
 //! `cargo bench` exercises every code path.
 //!
-//! The mapping from paper artifact → harness function is indexed in
-//! `DESIGN.md` §4; expected-vs-measured outcomes are recorded in
-//! `EXPERIMENTS.md`.
+//! The `experiments` binary's module docs list the artifact ids and the
+//! sweep cache behind each; each figure prints the paper's value next to
+//! the measured one.
 
 #[cfg(feature = "count-allocs")]
 pub mod alloc_counter;
@@ -42,4 +42,27 @@ pub fn register_domains() -> Vec<Arc<dyn DynDomain>> {
         dsa_gossip::adapter::register(),
         dsa_reputation::adapter::register(),
     ]
+}
+
+/// Serializes this crate's tests around the global `dsa_obs` registry.
+/// The `profilefig` tests enable it and assert exact cache counters, so
+/// they hold the lock exclusively. Every test that reads or writes a
+/// stamped cache holds it shared, so those still run in parallel with
+/// each other but never while the registry counts. The lock guards no
+/// data, so a guard poisoned by a failing test is recovered.
+#[cfg(test)]
+pub(crate) mod test_lock {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static OBS: RwLock<()> = RwLock::new(());
+
+    /// Held by a test that touches a stamped cache.
+    pub(crate) fn cache() -> RwLockReadGuard<'static, ()> {
+        OBS.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Held by a test that enables the global registry.
+    pub(crate) fn obs() -> RwLockWriteGuard<'static, ()> {
+        OBS.write().unwrap_or_else(PoisonError::into_inner)
+    }
 }

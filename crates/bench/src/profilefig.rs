@@ -319,14 +319,9 @@ pub fn profile(scale: &Scale, out_dir: &Path, ts_ms: u64) -> Result<String, Stri
 mod tests {
     use super::*;
 
-    /// Serializes tests that touch the global obs registries (shared
-    /// with the integration suites via separate processes; within this
-    /// binary a lock suffices).
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn profile_attributes_most_wall_clock_at_smoke() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = crate::test_lock::obs();
         let dir = std::env::temp_dir().join(format!("dsa-profile-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut scale = Scale::smoke();
@@ -369,7 +364,7 @@ mod tests {
 
     #[test]
     fn rerun_flips_cache_counters_from_miss_to_hit() {
-        let _guard = LOCK.lock().unwrap();
+        let _guard = crate::test_lock::obs();
         let dir = std::env::temp_dir().join(format!("dsa-profile-flip-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut scale = Scale::smoke();

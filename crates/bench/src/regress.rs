@@ -3,7 +3,7 @@
 //!
 //! Exactly the paper's model: numerical `h`, `k` enter as standardized
 //! logs (`log(h̃)`, `log(k̃)`; we use `log(x+1)` since the space contains
-//! h = 0 and k = 0 — see `DESIGN.md` §5), categorical dimensions enter as
+//! h = 0 and k = 0 — see [`log1p_standardized`]), categorical dimensions enter as
 //! dummies with baselines B1, C1, I1, R1 (the rows Table 3 omits).
 
 use crate::sweep::SweepData;

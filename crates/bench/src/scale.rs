@@ -2,8 +2,9 @@
 //!
 //! The paper's full PRA run took ~25 hours on a 50-node dual-core cluster
 //! (§4.3 footnote: ~107 million simulations). The harness therefore
-//! supports three scales; `DESIGN.md` §3 documents why subsampling
-//! preserves the orderings the reproduction checks.
+//! supports three scales, which subsample runs and opponents; the
+//! `swarm-paper-slice` workload in `perfbench/` prices the paper's own
+//! scale.
 
 use dsa_core::domain::Effort;
 use dsa_core::pra::PraConfig;
@@ -46,7 +47,7 @@ impl Scale {
     }
 
     /// Laboratory scale: minutes on a laptop; the default for
-    /// `experiments` runs and the recorded `EXPERIMENTS.md` numbers.
+    /// `experiments` runs.
     #[must_use]
     pub fn lab() -> Self {
         Self {

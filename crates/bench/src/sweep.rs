@@ -139,6 +139,7 @@ mod tests {
 
     #[test]
     fn cache_roundtrip() {
+        let _guard = crate::test_lock::cache();
         let dir = std::env::temp_dir().join(format!("dsa-sweep-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // Shrink the space cost: smoke scale with tiny parameters.

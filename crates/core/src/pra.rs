@@ -42,7 +42,8 @@ pub struct PraConfig {
 }
 
 impl Default for PraConfig {
-    /// Laptop-scale defaults; see `DESIGN.md` §3 for the scaling argument.
+    /// Laptop-scale defaults; [`PraConfig::paper_scale`] holds the paper's
+    /// §4.3 parameters.
     fn default() -> Self {
         Self {
             performance_runs: 8,

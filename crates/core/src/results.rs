@@ -1,7 +1,7 @@
 //! PRA sweep results: storage, ranking queries and CSV round-tripping.
 //!
 //! Sweep outputs feed several downstream consumers — the figure harnesses,
-//! the Table 3 regression, and `EXPERIMENTS.md` — so they are stored as a
+//! the Table 3 regression and the attribution tables — so they are stored as a
 //! plain struct-of-vectors and serialized as self-describing CSV (stable
 //! column order, quoted names, no external dependencies).
 

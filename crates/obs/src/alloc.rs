@@ -176,9 +176,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// Serializes the tests that tally into the process-wide counters:
+    /// one asserts exact deltas of them. It guards no data, so a guard
+    /// poisoned by a failing test is recovered.
+    static TALLIES: Mutex<()> = Mutex::new(());
 
     #[test]
     fn tallies_accumulate_and_track_live_bytes() {
+        let _guard = TALLIES.lock().unwrap_or_else(PoisonError::into_inner);
         // The tally functions are testable without installing the
         // allocator: drive them directly.
         let count0 = total_count();
@@ -200,6 +207,7 @@ mod tests {
 
     #[test]
     fn publish_is_gated_on_enable() {
+        let _guard = TALLIES.lock().unwrap_or_else(PoisonError::into_inner);
         let mut snap = Snapshot::default();
         if !enabled() {
             publish_into(&mut snap);

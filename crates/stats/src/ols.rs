@@ -75,7 +75,118 @@ impl std::fmt::Display for OlsError {
 
 impl std::error::Error for OlsError {}
 
+/// A regression design `X = [1 | predictors]`, read one row at a time.
+///
+/// The intercept column is implicit. Row `r` reports its predictor
+/// entries in ascending column order — every non-zero one, zeros optional
+/// — and [`fit`] and [`residual_ss`] read nothing else, so a design can be
+/// a view over compact data (such as the level coordinates behind a dummy
+/// coding) that never allocates a column.
+///
+/// Every `AsRef<[NamedColumn]>` — a slice, array or `Vec` of columns — is a
+/// design: its row `r` gathers entry `r` of each column.
+pub trait Design {
+    /// Number of predictor columns, the intercept not counted.
+    fn width(&self) -> usize;
+
+    /// Whether the design has `n` rows. A design without predictor columns
+    /// has any number.
+    fn has_rows(&self, n: usize) -> bool;
+
+    /// Name of predictor column `j`.
+    fn name(&self, j: usize) -> String;
+
+    /// Calls `entry(j, x)` for the entries `x` of row `r`, in ascending
+    /// predictor column `j` and each column at most once. Every non-zero
+    /// entry must be reported; a zero may be reported or left out.
+    fn row(&self, r: usize, entry: impl FnMut(usize, f64));
+}
+
+impl<T: AsRef<[NamedColumn]> + ?Sized> Design for T {
+    fn width(&self) -> usize {
+        self.as_ref().len()
+    }
+
+    fn has_rows(&self, n: usize) -> bool {
+        self.as_ref().iter().all(|c| c.values.len() == n)
+    }
+
+    fn name(&self, j: usize) -> String {
+        self.as_ref()[j].name.clone()
+    }
+
+    /// Reports every entry, zeros included: the readers drop zeros without
+    /// a branch, so sparse dummy columns cost no mispredictions.
+    fn row(&self, r: usize, mut entry: impl FnMut(usize, f64)) {
+        for (j, col) in self.as_ref().iter().enumerate() {
+            entry(j, col.values[r]);
+        }
+    }
+}
+
+/// One row of `X = [1 | predictors]` as its non-zero entries, in
+/// ascending column order: the design columns (the intercept's 0 first,
+/// predictor `j` at `j + 1`) and their values.
+struct RowEntries {
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+    len: usize,
+}
+
+impl RowEntries {
+    /// Room for a row of a design with `width` predictor columns.
+    fn new(width: usize) -> Self {
+        Self {
+            cols: vec![0; width + 1],
+            vals: vec![1.0; width + 1],
+            len: 1,
+        }
+    }
+
+    /// Reads row `r` of `design`, dropping the zeros it reports.
+    fn read<D: Design + ?Sized>(&mut self, design: &D, r: usize) {
+        let Self { cols, vals, .. } = self;
+        let mut len = 1;
+        design.row(r, |j, x| {
+            cols[len] = j + 1;
+            vals[len] = x;
+            len += usize::from(x != 0.0);
+        });
+        self.len = len;
+    }
+
+    /// The design columns and values of the entries, the intercept first.
+    fn entries(&self) -> (&[usize], &[f64]) {
+        (&self.cols[..self.len], &self.vals[..self.len])
+    }
+
+    /// Every entry of the row, zeros included, in column order.
+    fn dense(&self) -> impl Iterator<Item = f64> + '_ {
+        let (cols, vals) = self.entries();
+        let mut next = 0;
+        (0..self.cols.len()).map(move |c| {
+            if cols.get(next) == Some(&c) {
+                next += 1;
+                vals[next - 1]
+            } else {
+                0.0
+            }
+        })
+    }
+}
+
 /// Fits `y ~ 1 + predictors` by ordinary least squares.
+///
+/// Operation order: every entry of `XᵀX` and `Xᵀy` adds its rounded
+/// products row by row in ascending row order, starting from +0.0; `β` is
+/// `(XᵀX)⁻¹ Xᵀy`, with the inverse from [`Matrix::inverse_spd`]; each fitted
+/// value is the `Iterator::sum` of `x_rc·β_c` over ascending columns `c`;
+/// and `ss_res`, `ss_tot` add squared residuals and squared deviations from
+/// the mean in ascending row order. Only the entries a design reports are
+/// read. A product with an exact zero factor is left out of `XᵀX`, `Xᵀy`
+/// or a fitted value only where that cannot change a result bit (see
+/// [`residual_ss`]), so every field equals that of the dense row-by-row
+/// computation for every input, non-finite ones included.
 ///
 /// # Errors
 ///
@@ -95,25 +206,25 @@ impl std::error::Error for OlsError {}
 /// assert!((fit.terms[1].estimate - 2.0).abs() < 1e-10); // slope
 /// assert!(fit.r_squared > 0.999_999);
 /// ```
-pub fn fit(predictors: &[NamedColumn], y: &[f64]) -> Result<OlsFit, OlsError> {
-    let (gram, xty) = normal_equations(predictors, y)?;
+pub fn fit<D: Design + ?Sized>(design: &D, y: &[f64]) -> Result<OlsFit, OlsError> {
+    let (gram, xty) = normal_equations(design, y)?;
     let gram_inv = gram.into_inverse_spd().ok_or(OlsError::Singular)?;
     let beta = gram_inv.vec_mul(&xty);
-    let sums = sums_of_squares(predictors, y, &beta);
-    Ok(summarize(predictors, y.len(), &gram_inv, &beta, sums))
+    let sums = sums_of_squares(design, y, &beta);
+    Ok(summarize(design, y.len(), &gram_inv, &beta, sums))
 }
 
 /// Per-term statistics and goodness of fit of the coefficients `beta`
 /// with `(XᵀX)⁻¹ = gram_inv` and sums of squares `(ss_res, ss_tot)` over
 /// `n` observations.
-pub(crate) fn summarize(
-    predictors: &[NamedColumn],
+pub(crate) fn summarize<D: Design + ?Sized>(
+    design: &D,
     n: usize,
     gram_inv: &Matrix,
     beta: &[f64],
     (ss_res, ss_tot): (f64, f64),
 ) -> OlsFit {
-    let p = predictors.len();
+    let p = design.width();
     let df_residual = n - (p + 1);
     let sigma2 = ss_res / df_residual as f64;
     let r_squared = if ss_tot > 0.0 {
@@ -139,7 +250,7 @@ pub(crate) fn summarize(
         let name = if j == 0 {
             "(intercept)".to_string()
         } else {
-            predictors[j - 1].name.clone()
+            design.name(j - 1)
         };
         terms.push(OlsTerm {
             name,
@@ -161,95 +272,99 @@ pub(crate) fn summarize(
     }
 }
 
-/// The normal equations `XᵀX β = Xᵀy` of `y ~ 1 + predictors`: the lower
-/// triangle of `XᵀX` (all that the Cholesky factorization reads) and
-/// `Xᵀy`, formed straight from the predictor columns without
-/// materializing the dense design `X = [1 | predictors]`. Shared by [`fit`]
-/// and [`residual_ss`], so both validate and accumulate identically.
+/// The normal equations `XᵀX β = Xᵀy` of a design: the lower triangle of
+/// `XᵀX` (all that the Cholesky factorization reads) and `Xᵀy`, formed
+/// from the design's rows without materializing `X`. Shared by [`fit`] and
+/// [`residual_ss`], so both validate and accumulate identically.
 ///
-/// Every entry adds its row products in ascending row order. Each row is
-/// gathered once: the indices of its non-zero design columns (the
-/// intercept first) into one flat list, its values into a dense row buffer
-/// that is zero elsewhere. Row `b` of the lower triangle then takes
-/// `x_a·x_b` for every `a ≤ b` in one contiguous pass, for the non-zero
-/// `x_b` only. The dense loop skipped zero `x_a` instead; the two differ
-/// only by products with an exact zero factor. Those are ±0.0 while the
-/// other factor is finite, and an accumulator that starts at +0.0 never
-/// becomes −0.0, so it absorbs them unchanged. A non-finite predictor
-/// entry is the exception: it makes its column's diagonal non-finite, so
-/// the factorization fails either way. For the same reason `Xᵀy` skips a
-/// row's zero entries only while `y_r` is finite.
-fn normal_equations(predictors: &[NamedColumn], y: &[f64]) -> Result<(Matrix, Vec<f64>), OlsError> {
+/// Every entry adds its row products in ascending row order, and a row adds
+/// `x_a·x_b` to lower-triangle entry `(b, a)` for its non-zero pairs
+/// `a ≤ b` only. The dense computation differs by the products with an
+/// exact zero factor. Those are ±0.0 while the other factor is finite, and
+/// an accumulator that starts at +0.0 never becomes −0.0, so it absorbs
+/// them unchanged. A non-finite predictor entry is the exception: it makes
+/// its column's diagonal non-finite, so the factorization fails either way.
+/// For the same reason `Xᵀy` skips a row's zero entries only while `y_r` is
+/// finite.
+///
+/// Kept out of line, as is [`sums_of_squares`]: inlined into [`fit`], the
+/// two passes compiled to slower row loops, and Table 3's fits took ~10%
+/// longer.
+#[inline(never)]
+fn normal_equations<D: Design + ?Sized>(
+    design: &D,
+    y: &[f64],
+) -> Result<(Matrix, Vec<f64>), OlsError> {
     let n = y.len();
-    if predictors.iter().any(|c| c.values.len() != n) {
+    if !design.has_rows(n) {
         return Err(OlsError::LengthMismatch);
     }
-    let p = predictors.len();
+    let p = design.width();
     if n <= p + 1 {
         return Err(OlsError::TooFewObservations);
     }
     let dim = p + 1;
     let mut gram = Matrix::zeros(dim, dim);
     let mut xty = vec![0.0; dim];
-    let mut nonzero = Vec::with_capacity(dim);
-    let mut row = vec![0.0; dim];
-    row[0] = 1.0;
+    let mut row = RowEntries::new(p);
     for (r, &yr) in y.iter().enumerate() {
-        nonzero.clear();
-        nonzero.push(0);
-        for (j, col) in predictors.iter().enumerate() {
-            let v = col.values[r];
-            if v != 0.0 {
-                nonzero.push(j + 1);
-                row[j + 1] = v;
-            }
-        }
-        for &b in &nonzero {
-            let xb = row[b];
-            for (g, &xa) in gram.row_mut(b)[..=b].iter_mut().zip(&row[..=b]) {
-                *g += xa * xb;
+        row.read(design, r);
+        let (cols, vals) = row.entries();
+        for (i, (&b, &xb)) in cols.iter().zip(vals).enumerate() {
+            let g = gram.row_mut(b);
+            for (&a, &xa) in cols[..=i].iter().zip(&vals[..=i]) {
+                g[a] += xa * xb;
             }
         }
         if yr.is_finite() {
             if yr != 0.0 {
-                for &c in &nonzero {
-                    xty[c] += row[c] * yr;
+                for (&c, &x) in cols.iter().zip(vals) {
+                    xty[c] += x * yr;
                 }
             }
         } else {
-            for (o, &x) in xty.iter_mut().zip(&row) {
+            for (o, x) in xty.iter_mut().zip(row.dense()) {
                 *o += x * yr;
             }
-        }
-        for &c in &nonzero[1..] {
-            row[c] = 0.0;
         }
     }
     Ok((gram, xty))
 }
 
 /// Residual and total sums of squares of `y` against the fitted values
-/// `X β`.
+/// `X β`, in one pass over the design's rows.
 ///
-/// Operation order, as the dense row-by-row computation: each fitted
-/// value is the `Iterator::sum` of `x_rc·β_c` over the design columns `c`
-/// in ascending order, zeros included; `ss_res` and `ss_tot` add the
-/// squared residuals and the squared deviations from the mean in
-/// ascending row order. The sums run one column at a time over all rows,
-/// so each step is an element-wise pass.
-fn sums_of_squares(predictors: &[NamedColumn], y: &[f64], beta: &[f64]) -> (f64, f64) {
+/// Each fitted value adds `x_rc·β_c` to `β₀` over the entries the design
+/// reports, in ascending column order. The dense sum adds every product,
+/// and those of the unreported zeros are ±0.0 while `β` is finite: they
+/// can change only the sign of a zero fitted value, and `res * res` erases
+/// that. A non-finite `β_c` turns them into NaN, so then every row adds
+/// all its entries, zeros included.
+#[inline(never)]
+pub(crate) fn sums_of_squares<D: Design + ?Sized>(
+    design: &D,
+    y: &[f64],
+    beta: &[f64],
+) -> (f64, f64) {
     // `sum` starts from its own identity, then adds 1·β₀ = β₀.
     let intercept: f64 = std::iter::once(beta[0]).sum();
-    let mut fitted = vec![intercept; y.len()];
-    for (col, &b) in predictors.iter().zip(&beta[1..]) {
-        for (f, &x) in fitted.iter_mut().zip(&col.values) {
-            *f += x * b;
-        }
-    }
+    let finite = beta.iter().all(|b| b.is_finite());
     let y_mean = crate::describe::mean(y);
+    let mut row = RowEntries::new(beta.len() - 1);
     let mut ss_res = 0.0;
     let mut ss_tot = 0.0;
-    for (&yr, &fit) in y.iter().zip(&fitted) {
+    for (r, &yr) in y.iter().enumerate() {
+        let fit = if finite {
+            let mut fit = intercept;
+            design.row(r, |j, x| fit += x * beta[j + 1]);
+            fit
+        } else {
+            row.read(design, r);
+            row.dense()
+                .zip(beta)
+                .skip(1)
+                .fold(intercept, |f, (x, &b)| f + x * b)
+        };
         let res = yr - fit;
         ss_res += res * res;
         let d = yr - y_mean;
@@ -294,23 +409,33 @@ impl SumOfSquares {
 /// order, starting from +0.0; `β` comes from [`Matrix::solve_spd`]; each
 /// fitted value is the `Iterator::sum` of `x_rc·β_c` over ascending
 /// columns `c`; and `ss_res`, `ss_tot` add squared residuals and squared
-/// deviations from the mean in ascending row order. Products with an
-/// exact zero factor are left out of `XᵀX` and `Xᵀy` only where that
-/// cannot change a result bit, so the sums equal those of the dense
-/// row-by-row computation for every input, non-finite ones included.
+/// deviations from the mean in ascending row order. Only the entries a
+/// design reports are read, and a product with an exact zero factor is
+/// left out only where that cannot change a result bit:
+///
+/// * of `XᵀX`, on either side, while the other factor is finite. A
+///   non-finite entry makes its own diagonal non-finite, and the
+///   factorization then fails either way;
+/// * of `Xᵀy`, while `y_r` is finite;
+/// * of a fitted value, while every `β_c` is finite. It can then change
+///   only the sign of a zero fitted value, which squaring the residual
+///   erases.
+///
+/// So the sums equal those of the dense row-by-row computation for every
+/// input, non-finite ones included.
 ///
 /// # Errors
 ///
 /// See [`OlsError`]. Agrees with [`fit`] on `ss_res`/`ss_tot` to
 /// numerical precision for every design [`fit`] accepts.
-pub fn residual_ss(predictors: &[NamedColumn], y: &[f64]) -> Result<SumOfSquares, OlsError> {
-    let (gram, xty) = normal_equations(predictors, y)?;
+pub fn residual_ss<D: Design + ?Sized>(design: &D, y: &[f64]) -> Result<SumOfSquares, OlsError> {
+    let (gram, xty) = normal_equations(design, y)?;
     let beta = gram.into_solve_spd(&xty).ok_or(OlsError::Singular)?;
-    let (ss_res, ss_tot) = sums_of_squares(predictors, y, &beta);
+    let (ss_res, ss_tot) = sums_of_squares(design, y, &beta);
     Ok(SumOfSquares {
         ss_res,
         ss_tot,
-        df_residual: y.len() - (predictors.len() + 1),
+        df_residual: y.len() - (design.width() + 1),
     })
 }
 

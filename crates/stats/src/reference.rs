@@ -5,7 +5,7 @@
 use crate::describe::mean;
 use crate::encode::NamedColumn;
 use crate::matrix::Matrix;
-use crate::ols::{summarize, OlsError, OlsFit, SumOfSquares};
+use crate::ols::{summarize, Design, OlsError, OlsFit, SumOfSquares};
 
 /// Row-by-row Cholesky: one dependent dot-product chain per element.
 fn cholesky(a: &Matrix) -> Option<Matrix> {
@@ -238,16 +238,74 @@ mod tests {
         want.is_some()
     }
 
+    /// The columns as a row-sparse design that reports only each row's
+    /// non-zero entries, the way the attribution views do; `None` rows
+    /// when the columns disagree in length with the response.
+    struct RowSparse {
+        names: Vec<String>,
+        rows: Option<Vec<Vec<(usize, f64)>>>,
+    }
+
+    impl RowSparse {
+        fn new(predictors: &[NamedColumn], n: usize) -> Self {
+            let rows = predictors.iter().all(|c| c.values.len() == n).then(|| {
+                (0..n)
+                    .map(|r| {
+                        predictors
+                            .iter()
+                            .enumerate()
+                            .map(|(j, c)| (j, c.values[r]))
+                            .filter(|&(_, x)| x != 0.0)
+                            .collect()
+                    })
+                    .collect()
+            });
+            Self {
+                names: predictors.iter().map(|c| c.name.clone()).collect(),
+                rows,
+            }
+        }
+    }
+
+    impl Design for RowSparse {
+        fn width(&self) -> usize {
+            self.names.len()
+        }
+
+        fn has_rows(&self, n: usize) -> bool {
+            self.rows.as_ref().is_some_and(|rows| rows.len() == n)
+        }
+
+        fn name(&self, j: usize) -> String {
+            self.names[j].clone()
+        }
+
+        fn row(&self, r: usize, mut entry: impl FnMut(usize, f64)) {
+            let rows = self.rows.as_ref().expect("validated row count");
+            for &(j, x) in &rows[r] {
+                entry(j, x);
+            }
+        }
+    }
+
+    /// Asserts that `ols::{fit, residual_ss}` reproduce every result bit
+    /// of the dense reference, both on the columns themselves and on a
+    /// row-sparse design that reports only their non-zero entries.
     fn assert_ols_matches(predictors: &[NamedColumn], y: &[f64]) {
-        assert_eq!(
-            fit_bits(&ols::fit(predictors, y)),
-            fit_bits(&fit(predictors, y)),
-            "fit"
-        );
+        let want_fit = fit_bits(&fit(predictors, y));
+        let want_ss = ss_bits(&residual_ss(predictors, y));
+        assert_eq!(fit_bits(&ols::fit(predictors, y)), want_fit, "fit");
         assert_eq!(
             ss_bits(&ols::residual_ss(predictors, y)),
-            ss_bits(&residual_ss(predictors, y)),
+            want_ss,
             "residual_ss"
+        );
+        let sparse = RowSparse::new(predictors, y.len());
+        assert_eq!(fit_bits(&ols::fit(&sparse, y)), want_fit, "row-sparse fit");
+        assert_eq!(
+            ss_bits(&ols::residual_ss(&sparse, y)),
+            want_ss,
+            "row-sparse residual_ss"
         );
     }
 
@@ -449,6 +507,30 @@ mod tests {
         yb[3] = f64::INFINITY;
         yb[150] = f64::NEG_INFINITY;
         assert_ols_matches(&cols, &yb);
+    }
+
+    #[test]
+    fn fitted_values_match_reference_for_non_finite_coefficients() {
+        // A non-finite β_c makes the dense products with x_rc = 0 NaN, so
+        // skipping the zeros would turn a NaN ss_res into a number.
+        let mut rng = Rng(0xF17);
+        let (cols, y) = interaction_design(&mut rng, 120, 3, 4);
+        let x = design_matrix(&cols, &y).unwrap();
+        let sparse = RowSparse::new(&cols, y.len());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for c in [0, 2, cols.len()] {
+                let mut beta: Vec<f64> = (0..=cols.len()).map(|_| rng.signed()).collect();
+                beta[c] = bad;
+                let want = sums_of_squares(&x, &beta, &y);
+                let want = (want.0.to_bits(), want.1.to_bits());
+                for got in [
+                    ols::sums_of_squares(cols.as_slice(), &y, &beta),
+                    ols::sums_of_squares(&sparse, &y, &beta),
+                ] {
+                    assert_eq!((got.0.to_bits(), got.1.to_bits()), want, "β[{c}] = {bad}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! free-riding toward partners) and still register in the receiver's
 //! history — this is what lets Sort-Slowest peers adopt 0-givers as
 //! partners, the mechanism behind the paper's top-performance protocol
-//! (§4.4; `DESIGN.md` §5).
+//! (§4.4; see the round structure in [`crate::engine`]).
 
 /// One round's contact ledger for an `n`-peer population.
 ///

@@ -19,7 +19,8 @@
 //! from its interaction history, optionally contacts strangers, and
 //! divides its upload capacity according to its allocation policy.
 //!
-//! Two modeling decisions documented in `DESIGN.md` §5 matter most:
+//! Two modeling decisions, documented with the round structure in
+//! [`engine`], matter most:
 //! *contacts* (including 0-byte "defect" contacts) create next-round
 //! candidacy, and upload capacity is divided into **per-slot quanta** —
 //! unfilled slots waste capacity, which is what makes low partner counts

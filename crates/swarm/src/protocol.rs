@@ -26,7 +26,7 @@ pub enum StrangerPolicy {
     WhenNeeded,
     /// B3: always defect on strangers — contact them but transfer nothing
     /// (a 0-byte contact still registers in the recipient's history; see
-    /// `DESIGN.md` §5).
+    /// [`crate::history`]).
     Defect,
 }
 

@@ -5,7 +5,7 @@
 //! al." — the measured upload capacities of BitTorrent hosts from *Do
 //! incentives build robustness in BitTorrent?* (NSDI'07). We do not have the
 //! raw trace, so [`BandwidthDist::Piatek`] encodes a piecewise log-linear
-//! approximation of the published CDF (see `DESIGN.md` §3): a long-tailed
+//! approximation of the published CDF (`PIATEK_CDF_KBPS` below): a long-tailed
 //! distribution where most hosts upload a few tens of KiB/s and a small
 //! fraction uploads two orders of magnitude more. Every effect the paper
 //! derives from the distribution (bandwidth classes, opportunity-cost

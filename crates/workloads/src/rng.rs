@@ -1,7 +1,8 @@
 //! Portable, seed-stable pseudo-random number generation.
 //!
 //! The simulators in this workspace are *measurement instruments*: their
-//! outputs are recorded in `EXPERIMENTS.md` and compared against the paper.
+//! outputs are compared against the paper, and `perfbench/` pins their
+//! digests.
 //! That makes stream stability a correctness property — re-running an
 //! experiment with the same seed must yield bit-identical traces on any
 //! platform and any future version of this workspace. We therefore pin the
