@@ -23,8 +23,6 @@
 //!                                     [--top N] [+ the fit flags]
 //! dsa <domain> search [--seed N] [--budget N] [--restarts R] [--effort E]
 //! dsa bt <kind-a> [kind-b] [--frac F] [--runs N]   (piece-level BitTorrent, swarm-only)
-//! dsa obs report [file] [--out DIR]      render an exported obs-*.csv (default: newest)
-//! dsa obs list [--out DIR]               list the exported observability snapshots
 //! dsa obs runs [--out DIR] [--last N]    list the run journal (results/journal.jsonl)
 //! dsa obs trace [--out FILE] [--domain D] [--scale S] [--seed N] [--threads N]
 //!                                        run a traced PRA workload and export it as
@@ -36,13 +34,9 @@
 //!                 [--floor NS] [--baselines FILE]
 //!                                        perf gate: latest journal entry vs its rolling
 //!                                        window + bench ceilings; exits non-zero on fail
-//! dsa obs serve [--addr A] [--out DIR] [+ the regress flags]
-//!                                        resident query server over the journal:
-//!                                        /runs /runs/<id> /diff/<a>/<b> /regress
-//!                                        /metrics /snapshot /healthz
 //! dsa obs top [--addr A] [--interval SECS] [--once]
 //!                                        polling terminal dashboard over a live
-//!                                        /snapshot endpoint (--obs-listen or serve)
+//!                                        /snapshot endpoint (--obs-listen)
 //! dsa obs flame [run | --live] [--out FILE] [--dir DIR]
 //!               [--domain D] [--scale S] [--seed N] [--threads N]
 //!                                        folded-stacks export (inferno / speedscope /
@@ -60,8 +54,9 @@
 //!                                        counter series grew vs an earlier scrape
 //! ```
 //!
-//! `obs runs` and `obs diff` also take `--json`, emitting exactly the
-//! documents the resident server serves on `/runs` and `/diff/<a>/<b>`.
+//! `obs runs` and `obs diff` also take `--json`, emitting the same data
+//! as one machine-readable JSON document. The journal is the only record
+//! a run persists, and these commands are the only way to query it.
 //!
 //! The global `--metrics` switch turns the [`dsa_obs`] registries on for
 //! any command and `--trace` additionally records spans; both print an
@@ -102,11 +97,7 @@ use dsa_stats::ci::ConfidenceInterval;
 use dsa_workloads::seeds::SeedSeq;
 use std::process::ExitCode;
 
-// The runtime counting allocator behind --alloc. Under the count-allocs
-// test feature the dsa_bench library installs its own (unconditional)
-// delegating allocator, so gate this one off — a process gets exactly
-// one #[global_allocator].
-#[cfg(not(feature = "count-allocs"))]
+// The runtime counting allocator behind --alloc.
 #[global_allocator]
 static GLOBAL_ALLOC: dsa_obs::alloc::CountingAlloc = dsa_obs::alloc::CountingAlloc;
 
@@ -126,9 +117,8 @@ const DOMAIN_COMMANDS: [&str; 9] = [
 fn main() -> ExitCode {
     dsa_bench::register_domains();
     dsa_attacks::register_builtin();
-    // Sample the clock once at startup; everything downstream (CSV
-    // stamps, journal records) receives this value instead of reading
-    // the clock itself.
+    // Sample the clock once at startup; the journal record receives this
+    // value instead of reading the clock itself.
     let ts_ms = unix_ms();
     let t0 = std::time::Instant::now();
     let raw_args: Vec<String> = std::env::args().skip(1).collect();
@@ -170,7 +160,7 @@ fn main() -> ExitCode {
         dsa_obs::mem::spawn_sampler(dsa_obs::mem::SAMPLER_INTERVAL);
     }
     if let Some(addr) = &obs_listen {
-        match dsa_obs::serve::spawn(addr, dsa_obs::serve::Mode::Live) {
+        match dsa_obs::serve::spawn(addr) {
             Ok(bound) => eprintln!("obs: serving /metrics /snapshot /healthz on http://{bound}/"),
             Err(msg) => {
                 eprintln!("error: {msg}");
@@ -313,7 +303,7 @@ fn help() -> String {
         "dsa — Design Space Analysis toolkit\n\
          usage: dsa <domain> {{protocols|describe|simulate|encounter|pra|attack|evolve|attribute|search}} [...]\n\
          \u{20}      dsa bt <kind-a> [kind-b] [--frac F] [--runs N]\n\
-         \u{20}      dsa obs {{report [file]|list|runs|trace|diff <a> <b>|regress|serve|top|flame|gc|lint}} [--out DIR]\n\
+         \u{20}      dsa obs {{runs|trace|diff <a> <b>|regress|top|flame|gc|lint}} [--out DIR]\n\
          domains: {}\n\
          attacks: {} (dsa <domain> attack {{list|run}})\n\
          (bare commands default to the swarm domain; global --metrics/--trace\n\
@@ -468,7 +458,15 @@ fn cmd_encounter(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> 
     let a = domain.parse(&pos[0])?;
     let b = domain.parse(&pos[1])?;
     let frac = flag(&flags, "frac", 0.5f64)?;
+    if !frac.is_finite() || frac <= 0.0 || frac >= 1.0 {
+        return Err(format!(
+            "--frac must lie in (0, 1): both groups need peers, got {frac}"
+        ));
+    }
     let runs = flag(&flags, "runs", 5usize)?;
+    if runs == 0 {
+        return Err("--runs must be at least 1".into());
+    }
     let seed = flag(&flags, "seed", 1u64)?;
     let effort = effort_flag(&flags)?;
     let mut wins = 0;
@@ -1062,117 +1060,25 @@ fn cmd_search(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-// ---- exported observability snapshots (dsa-obs) ---------------------------
+// ---- the run journal and live observability (dsa obs) ---------------------
 
 fn cmd_obs(args: &[String]) -> Result<(), String> {
+    const COMMANDS: &str = "runs, trace, diff, regress, top, flame, gc, lint";
     match args.first().map(String::as_str) {
-        Some("report") => cmd_obs_report(&args[1..]),
-        Some("list") => cmd_obs_list(&args[1..]),
         Some("runs") => cmd_obs_runs(&args[1..]),
         Some("trace") => cmd_obs_trace(&args[1..]),
         Some("diff") => cmd_obs_diff(&args[1..]),
         Some("regress") => cmd_obs_regress(&args[1..]),
-        Some("serve") => cmd_obs_serve(&args[1..]),
         Some("top") => cmd_obs_top(&args[1..]),
         Some("flame") => cmd_obs_flame(&args[1..]),
         Some("gc") => cmd_obs_gc(&args[1..]),
         Some("lint") => cmd_obs_lint(&args[1..]),
         Some(other) => Err(format!(
-            "unknown obs command '{other}' (expected: report, list, runs, trace, diff, \
-             regress, serve, top, flame, gc, lint)"
+            "unknown obs command '{other}' (expected: {COMMANDS})"
         )),
-        None => Err(
-            "obs needs a subcommand: report, list, runs, trace, diff, regress, serve, top, \
-             flame, gc, lint"
-                .into(),
-        ),
+        None => Err(format!("obs needs a subcommand: {COMMANDS}")),
     }
 }
-
-/// The `obs-*.csv` exports under `dir`, newest first (ties broken by
-/// name, descending, so the order is deterministic).
-fn obs_files(dir: &std::path::Path) -> Result<Vec<std::path::PathBuf>, String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
-    let mut files: Vec<(std::time::SystemTime, std::path::PathBuf)> = entries
-        .flatten()
-        .filter_map(|entry| {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if !name.starts_with("obs-") || !name.ends_with(".csv") {
-                return None;
-            }
-            let mtime = entry
-                .metadata()
-                .and_then(|m| m.modified())
-                .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            Some((mtime, entry.path()))
-        })
-        .collect();
-    files.sort_by(|a, b| b.cmp(a));
-    Ok(files.into_iter().map(|(_, p)| p).collect())
-}
-
-fn cmd_obs_report(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = split_flags(args)?;
-    check_flags(&flags, &["out"])?;
-    let out: String = flag(&flags, "out", "results".to_string())?;
-    let path = match pos.first() {
-        Some(p) => std::path::PathBuf::from(p),
-        None => obs_files(std::path::Path::new(&out))?
-            .into_iter()
-            .next()
-            .ok_or_else(|| {
-                format!(
-                    "no obs-*.csv under {out} (export one with --metrics/--trace \
-                     or 'experiments profile')"
-                )
-            })?,
-    };
-    let (meta, snap) = dsa_obs::read_csv(&path)?;
-    println!("observability snapshot ({})", path.display());
-    print!("{}", meta.render());
-    print!("{}", snap.render());
-    Ok(())
-}
-
-fn cmd_obs_list(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = split_flags(args)?;
-    if let Some(stray) = pos.first() {
-        return Err(format!("obs list takes no positional argument '{stray}'"));
-    }
-    check_flags(&flags, &["out"])?;
-    let out: String = flag(&flags, "out", "results".to_string())?;
-    let files = obs_files(std::path::Path::new(&out))?;
-    if files.is_empty() {
-        println!("no obs-*.csv under {out}");
-        return Ok(());
-    }
-    for path in files {
-        match dsa_obs::read_csv(&path) {
-            Ok((meta, snap)) => println!(
-                "{:<40} run={}{}{} ({} counters, {} gauges, {} hists, {} spans)",
-                path.display(),
-                meta.run,
-                meta.scale
-                    .as_deref()
-                    .map_or_else(String::new, |s| format!(" scale={s}")),
-                if meta.threads > 0 {
-                    format!(" threads={}", meta.threads)
-                } else {
-                    String::new()
-                },
-                snap.counters.len(),
-                snap.gauges.len(),
-                snap.hists.len(),
-                snap.spans.len()
-            ),
-            Err(msg) => println!("{:<40} (unreadable: {msg})", path.display()),
-        }
-    }
-    Ok(())
-}
-
-// ---- the run journal (dsa obs runs/trace/diff/regress) ---------------------
 
 /// Reads the journal under `--out` (default `results`), reporting any
 /// skipped (corrupt) lines on stderr.
@@ -1207,11 +1113,10 @@ fn cmd_obs_runs(args: &[String]) -> Result<(), String> {
     let out: String = flag(&flags, "out", "results".to_string())?;
     let last = flag(&flags, "last", 10usize)?.max(1);
     if json {
-        // Same document the resident server's /runs endpoint emits —
-        // unfiltered (--last shapes the human listing only), with any
+        // Unfiltered (--last shapes the human listing only), with any
         // corrupt-line count inline instead of on stderr.
         let (records, skipped) = dsa_obs::journal::read_all(std::path::Path::new(&out))?;
-        print!("{}", dsa_obs::serve::runs_json(&records, skipped));
+        print!("{}", dsa_obs::journal::runs_json(&records, skipped));
         return Ok(());
     }
     let records = read_journal(&out)?;
@@ -1239,33 +1144,8 @@ fn cmd_obs_trace(args: &[String]) -> Result<(), String> {
     }
     check_flags(&flags, &["out", "domain", "scale", "seed", "threads"])?;
     let out: String = flag(&flags, "out", "trace.json".to_string())?;
-    let domain_name: String = flag(&flags, "domain", "swarm".to_string())?;
-    let domain = dsa_core::domain::lookup(&domain_name)
-        .ok_or_else(|| format!("unknown domain '{domain_name}'"))?;
-    let scale_name: String = flag(&flags, "scale", "smoke".to_string())?;
-    let mut scale = dsa_bench::scale::Scale::by_name(&scale_name)
-        .ok_or_else(|| format!("unknown --scale '{scale_name}' (smoke|lab|paper)"))?;
-    scale.pra.seed = flag(&flags, "seed", scale.pra.seed)?;
-    scale.pra.threads = flag(&flags, "threads", scale.pra.threads)?;
-    // The exporter needs raw begin/end events, which only event-capture
-    // mode records; run a fresh traced PRA workload over the domain's
-    // presets (cache is bypassed — a trace of a cache hit has no tree).
-    dsa_obs::enable_events();
-    dsa_obs::reset();
-    let mut indices: Vec<usize> = domain.presets().iter().map(|(_, i)| *i).collect();
-    indices.dedup();
-    if indices.len() < 2 {
-        indices = (0..domain.size().min(6)).collect();
-    }
-    {
-        let _workload = dsa_obs::span_owned(format!("trace.{}", domain.name()));
-        let _ = domain.quantify(&indices, scale.effort(), &scale.pra);
-    }
-    let events = dsa_obs::take_events();
-    let doc = dsa_obs::trace::chrome_trace(
-        &events,
-        &format!("dsa {} pra ({})", domain.name(), scale_name),
-    );
+    let (domain, scale, events) = traced_workload(&flags, "trace")?;
+    let doc = dsa_obs::trace::chrome_trace(&events, &format!("dsa {domain} pra ({scale})"));
     // Self-check before writing: the exported document must satisfy the
     // Trace Event Format invariants we promise.
     let stats =
@@ -1279,6 +1159,43 @@ fn cmd_obs_trace(args: &[String]) -> Result<(), String> {
         events.len()
     );
     Ok(())
+}
+
+/// The traced PRA workload behind `obs trace` and `obs flame --live`.
+/// Resolves `--domain/--scale/--seed/--threads`, turns raw event capture
+/// on, and quantifies the domain's presets (or its first six protocols
+/// when it has fewer than two presets) under one root span
+/// `<root>.<domain>`. The cache is bypassed: a trace of a cache hit has
+/// no tree. Returns the domain name, the scale name and the captured
+/// events.
+fn traced_workload(
+    flags: &Flags,
+    root: &str,
+) -> Result<(String, String, Vec<dsa_obs::TraceEvent>), String> {
+    let domain_name: String = flag(flags, "domain", "swarm".to_string())?;
+    let domain = dsa_core::domain::lookup(&domain_name)
+        .ok_or_else(|| format!("unknown domain '{domain_name}'"))?;
+    let scale_name: String = flag(flags, "scale", "smoke".to_string())?;
+    let mut scale = dsa_bench::scale::Scale::by_name(&scale_name)
+        .ok_or_else(|| format!("unknown --scale '{scale_name}' (smoke|lab|paper)"))?;
+    scale.pra.seed = flag(flags, "seed", scale.pra.seed)?;
+    scale.pra.threads = flag(flags, "threads", scale.pra.threads)?;
+    dsa_obs::enable_events();
+    dsa_obs::reset();
+    let mut indices: Vec<usize> = domain.presets().iter().map(|(_, i)| *i).collect();
+    indices.dedup();
+    if indices.len() < 2 {
+        indices = (0..domain.size().min(6)).collect();
+    }
+    {
+        let _workload = dsa_obs::span_owned(format!("{root}.{}", domain.name()));
+        let _ = domain.quantify(&indices, scale.effort(), &scale.pra);
+    }
+    Ok((
+        domain.name().to_string(),
+        scale_name,
+        dsa_obs::take_events(),
+    ))
 }
 
 /// Resolves a journal-record token: `-1` is the newest record, `-2` the
@@ -1339,7 +1256,6 @@ fn cmd_obs_diff(args: &[String]) -> Result<(), String> {
     let ra = resolve_record(&records, a)?;
     let rb = resolve_record(&records, b)?;
     if json {
-        // Same document the resident server's /diff/<a>/<b> endpoint emits.
         println!("{}", dsa_obs::diff::to_json(ra, rb, threshold));
     } else {
         print!("{}", dsa_obs::diff::render(ra, rb, threshold));
@@ -1412,43 +1328,6 @@ fn load_bench_baselines(path: &str) -> Result<std::collections::BTreeMap<String,
     }
 }
 
-// ---- the live observability layer (dsa obs serve/top/gc/lint) --------------
-
-fn cmd_obs_serve(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = split_flags(args)?;
-    if let Some(stray) = pos.first() {
-        return Err(format!("obs serve takes no positional argument '{stray}'"));
-    }
-    check_flags(
-        &flags,
-        &["addr", "out", "threshold", "window", "floor", "baselines"],
-    )?;
-    let addr: String = flag(&flags, "addr", "127.0.0.1:9464".to_string())?;
-    let out: String = flag(&flags, "out", "results".to_string())?;
-    let cfg = dsa_obs::regress::RegressConfig {
-        threshold_pct: flag(&flags, "threshold", 50.0f64)?,
-        window: flag(&flags, "window", 5usize)?.max(1),
-        min_self_ns: flag(&flags, "floor", 1_000_000u64)?,
-        ..dsa_obs::regress::RegressConfig::default()
-    };
-    let baselines_path: String = flag(&flags, "baselines", "BENCH_engines.json".to_string())?;
-    let baselines = load_bench_baselines(&baselines_path)?;
-    // The resident server instruments itself (serve.requests and
-    // friends), so /metrics is live even before the journal has records.
-    dsa_obs::enable_metrics();
-    let dir = std::path::PathBuf::from(&out);
-    let mode = dsa_obs::serve::Mode::resident(dir, cfg, baselines);
-    let server = dsa_obs::serve::Server::bind(&addr, mode)?;
-    println!(
-        "dsa obs serve: http://{}/ — /runs /runs/<id> /diff/<a>/<b> /regress /metrics \
-         /snapshot /healthz (journal: {out}/{}; ^C to stop)",
-        server.local_addr()?,
-        dsa_obs::journal::JOURNAL_FILE
-    );
-    server.run();
-    Ok(())
-}
-
 fn cmd_obs_top(args: &[String]) -> Result<(), String> {
     let (once, args) = take_switch(args, "--once");
     let (pos, flags) = split_flags(&args)?;
@@ -1486,28 +1365,8 @@ fn cmd_obs_flame(args: &[String]) -> Result<(), String> {
         if let Some(stray) = pos.first() {
             return Err(format!("obs flame --live takes no run argument '{stray}'"));
         }
-        let domain_name: String = flag(&flags, "domain", "swarm".to_string())?;
-        let domain = dsa_core::domain::lookup(&domain_name)
-            .ok_or_else(|| format!("unknown domain '{domain_name}'"))?;
-        let scale_name: String = flag(&flags, "scale", "smoke".to_string())?;
-        let mut scale = dsa_bench::scale::Scale::by_name(&scale_name)
-            .ok_or_else(|| format!("unknown --scale '{scale_name}' (smoke|lab|paper)"))?;
-        scale.pra.seed = flag(&flags, "seed", scale.pra.seed)?;
-        scale.pra.threads = flag(&flags, "threads", scale.pra.threads)?;
-        // Same traced-workload recipe as `obs trace`: real begin/end
-        // events are the only source of true call stacks.
-        dsa_obs::enable_events();
-        dsa_obs::reset();
-        let mut indices: Vec<usize> = domain.presets().iter().map(|(_, i)| *i).collect();
-        indices.dedup();
-        if indices.len() < 2 {
-            indices = (0..domain.size().min(6)).collect();
-        }
-        {
-            let _workload = dsa_obs::span_owned(format!("flame.{}", domain.name()));
-            let _ = domain.quantify(&indices, scale.effort(), &scale.pra);
-        }
-        let events = dsa_obs::take_events();
+        // Real begin/end events are the only source of true call stacks.
+        let (_, _, events) = traced_workload(&flags, "flame")?;
         let weight = if alloc_weighted {
             dsa_obs::flame::Weight::Allocs
         } else {

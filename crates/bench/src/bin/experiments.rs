@@ -32,16 +32,18 @@
 //!
 //! `--metrics` turns the [`dsa_obs`] counters/gauges/histograms on for
 //! the whole run and `--trace` additionally records spans; both print an
-//! observability epilogue and export `<out>/obs-experiments-<scale>.csv`.
+//! observability epilogue and append the run's record to
+//! `<out>/journal.jsonl` (query it with `dsa obs runs/diff/regress`).
 //! `--obs-listen ADDR` (implies `--metrics`) additionally serves the
 //! live registry over HTTP while the run executes — `GET /metrics`
 //! (Prometheus text exposition) and `GET /snapshot` (JSON), scrapeable
 //! mid-run. `--alloc` (implies `--metrics`) turns on the runtime
 //! counting allocator: `mem.alloc.{count,bytes}` and the per-run
 //! `mem.run_allocs.*` histograms join the RSS and arena-footprint
-//! gauges that `--metrics` already samples. The `profile` id renders the per-engine time-attribution
-//! figure (it manages — and resets — the obs registries itself, so
-//! scrape monotonicity holds for every id *except* `profile`).
+//! gauges that `--metrics` already samples. The `profile` id renders
+//! the per-engine time-attribution figure and always journals itself
+//! (it manages — and resets — the obs registries itself, so scrape
+//! monotonicity holds for every id *except* `profile`).
 
 use dsa_bench::attackfig;
 use dsa_bench::attribfig;
@@ -107,15 +109,22 @@ struct Options {
     ids: Vec<String>,
 }
 
-// The runtime counting allocator behind --alloc. Under the count-allocs
-// test feature the dsa_bench library installs its own (unconditional)
-// delegating allocator, so gate this one off — a process gets exactly
-// one #[global_allocator].
-#[cfg(not(feature = "count-allocs"))]
+// The runtime counting allocator behind --alloc.
 #[global_allocator]
 static GLOBAL_ALLOC: dsa_obs::alloc::CountingAlloc = dsa_obs::alloc::CountingAlloc;
 
-fn parse_args() -> Result<Options, String> {
+fn usage() -> String {
+    format!(
+        "usage: experiments [--scale smoke|lab|paper] [--seed N] [--out DIR] \
+         [--threads N] [--budgets B1,B2,...] [--mutants P1,P2,...] \
+         [--response pra,attack,evolution] [--metrics] [--trace] [--alloc] \
+         [--obs-listen ADDR] <id>...\nids: {} all",
+        ALL_IDS.join(" ")
+    )
+}
+
+/// Parses the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut scale = Scale::lab();
     let mut seed: Option<u64> = None;
     let mut out = PathBuf::from("results");
@@ -188,15 +197,7 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or("--obs-listen needs an address (e.g. 127.0.0.1:9464)")?;
                 obs_listen = Some(v);
             }
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: experiments [--scale smoke|lab|paper] [--seed N] [--out DIR] \
-                     [--threads N] [--budgets B1,B2,...] [--mutants P1,P2,...] \
-                     [--response pra,attack,evolution] [--metrics] [--trace] [--alloc] \
-                     [--obs-listen ADDR] <id>...\nids: {} all",
-                    ALL_IDS.join(" ")
-                ));
-            }
+            "--help" | "-h" => return Ok(None),
             id if id.starts_with('-') => return Err(format!("unknown flag '{id}'")),
             id => ids.push(id.to_string()),
         }
@@ -213,7 +214,7 @@ fn parse_args() -> Result<Options, String> {
     if ids.iter().any(|i| i == "all") {
         ids = ALL_IDS.iter().map(|s| (*s).to_string()).collect();
     }
-    Ok(Options {
+    Ok(Some(Options {
         scale,
         seed: seed.unwrap_or(0x5EED),
         out,
@@ -225,12 +226,12 @@ fn parse_args() -> Result<Options, String> {
         alloc,
         obs_listen,
         ids,
-    })
+    }))
 }
 
 fn main() -> ExitCode {
-    // Sample the clock once at startup; CSV stamps and journal records
-    // receive this value instead of reading the clock themselves.
+    // Sample the clock once at startup; journal records receive this
+    // value instead of reading the clock themselves.
     let ts_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
@@ -238,7 +239,11 @@ fn main() -> ExitCode {
     let t0 = std::time::Instant::now();
     let raw_args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args() {
-        Ok(o) => o,
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            eprintln!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
@@ -263,7 +268,7 @@ fn main() -> ExitCode {
         dsa_obs::mem::spawn_sampler(dsa_obs::mem::SAMPLER_INTERVAL);
     }
     if let Some(addr) = &opts.obs_listen {
-        match dsa_obs::serve::spawn(addr, dsa_obs::serve::Mode::Live) {
+        match dsa_obs::serve::spawn(addr) {
             Ok(bound) => eprintln!(
                 "[experiments] obs: serving /metrics /snapshot /healthz on http://{bound}/"
             ),
@@ -358,7 +363,7 @@ fn main() -> ExitCode {
     if opts.metrics || opts.trace || opts.alloc || opts.obs_listen.is_some() {
         // Final memory boundary: one last RSS reading into the registry,
         // then fold the allocation tallies (no-op without --alloc) into
-        // the snapshot the CSV, journal and epilogue all render from.
+        // the snapshot the journal and epilogue both render from.
         dsa_obs::mem::sample();
         let mut snap = dsa_obs::snapshot();
         dsa_obs::alloc::publish_into(&mut snap);
@@ -366,18 +371,6 @@ fn main() -> ExitCode {
             println!("==== observability ====");
             print!("{}", snap.render());
             let threads = dsa_core::parallel::effective_threads(opts.scale.pra.threads, usize::MAX);
-            let export = dsa_obs::ExportMeta {
-                run: format!("experiments-{}", opts.scale.name),
-                bin: "experiments".to_string(),
-                scale: Some(opts.scale.name.to_string()),
-                threads,
-                ts_ms,
-                mem: dsa_obs::journal::MemBlock::from_registries(&snap),
-            };
-            match dsa_obs::write_csv(&opts.out, &export, &snap) {
-                Ok(path) => println!("wrote {}", path.display()),
-                Err(msg) => eprintln!("obs export failed: {msg}"),
-            }
             // Journal the run's provenance. (The `profile` id journals its
             // own per-section record under the command `experiments
             // profile`; this epilogue record carries the full flag list,

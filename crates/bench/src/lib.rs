@@ -10,8 +10,6 @@
 //! sweep cache behind each; each figure prints the paper's value next to
 //! the measured one.
 
-#[cfg(feature = "count-allocs")]
-pub mod alloc_counter;
 pub mod attackfig;
 pub mod attribfig;
 pub mod btfigs;

@@ -6,14 +6,14 @@
 //! ASCII time-attribution figure: one bar per span, sized by *self* time
 //! (time inside the span but outside its children), with a coverage line
 //! stating how much of the measured wall-clock the named spans explain.
-//! The numbers land in `results/profile-<scale>.csv`, the raw merged
-//! registries in `results/obs-profile-<scale>.csv`, and every run
-//! appends one provenance record to `results/journal.jsonl` under the
-//! `experiments profile` command cohort.
+//! The numbers land in `results/profile-<scale>.csv`, and every run
+//! appends one provenance record — the merged registries of all
+//! sections — to `results/journal.jsonl` under the `experiments
+//! profile` command cohort.
 //!
 //! The cache is probed (via [`DomainSweep::load`]) before each fresh
 //! quantification, so the `cache.hit`/`cache.miss.*` counters in the
-//! exported snapshot show cold-vs-warm state; a missing cache is filled
+//! journal record show cold-vs-warm state; a missing cache is filled
 //! so the next run flips miss → hit. Because attribution must be
 //! per-domain, the experiment owns the global obs registries while it
 //! runs: they are reset before each domain and left holding the last
@@ -67,7 +67,7 @@ fn profiled<T>(work: impl FnOnce() -> T) -> (T, u64, Snapshot) {
     (out, wall_ns, dsa_obs::snapshot())
 }
 
-/// Merges per-section snapshots into one exportable registry state:
+/// Merges per-section snapshots into one journaled registry state:
 /// counters and histogram-like aggregates add, gauges keep the last
 /// written value (their in-registry semantics).
 fn merge_snapshots(sections: &[Section]) -> Snapshot {
@@ -140,7 +140,7 @@ fn render_section(s: &Section) -> String {
 ///
 /// `ts_ms` is the run's Unix timestamp in milliseconds, sampled once by
 /// the caller (library code never reads the clock for metadata) — it
-/// stamps the obs CSV export and the appended journal record.
+/// stamps the appended journal record.
 ///
 /// # Errors
 ///
@@ -245,8 +245,8 @@ pub fn profile(scale: &Scale, out_dir: &Path, ts_ms: u64) -> Result<String, Stri
     let mut merged = merge_snapshots(&sections);
     // Memory telemetry: a final RSS reading plus the run's allocation
     // totals (no-op without --alloc) go into the merged snapshot, so
-    // the CSV stamp and the journal's mem block carry them alongside
-    // the arena gauges the engines recorded during the sections.
+    // the journal's mem block carries them alongside the arena gauges
+    // the engines recorded during the sections.
     if let Some(s) = dsa_obs::mem::read_rss() {
         merged
             .gauges
@@ -256,22 +256,7 @@ pub fn profile(scale: &Scale, out_dir: &Path, ts_ms: u64) -> Result<String, Stri
             .insert("mem.rss_peak_bytes".to_string(), s.rss_peak_bytes as f64);
     }
     dsa_obs::alloc::publish_into(&mut merged);
-    let threads = dsa_core::parallel::effective_threads(scale.pra.threads, usize::MAX);
-    let export = dsa_obs::ExportMeta {
-        run: format!("profile-{}", scale.name),
-        bin: "experiments".to_string(),
-        scale: Some(scale.name.to_string()),
-        threads,
-        ts_ms,
-        mem: dsa_obs::journal::MemBlock::from_registries(&merged),
-    };
-    let obs_path = dsa_obs::write_csv(out_dir, &export, &merged)?;
-    let _ = writeln!(
-        out,
-        "wrote {} and {}",
-        csv_path.display(),
-        obs_path.display()
-    );
+    let _ = writeln!(out, "wrote {}", csv_path.display());
 
     // Journal the run: one record per profile invocation, under its own
     // command cohort ("experiments profile") so diffing and regression
@@ -285,7 +270,7 @@ pub fn profile(scale: &Scale, out_dir: &Path, ts_ms: u64) -> Result<String, Stri
         scale: Some(scale.name.to_string()),
         domain: None,
         seed: Some(scale.pra.seed),
-        threads,
+        threads: dsa_core::parallel::effective_threads(scale.pra.threads, usize::MAX),
     };
     let mut record = dsa_obs::JournalRecord::from_snapshot(meta, wall_ms, &merged);
     record.cache = cache_log;
@@ -325,14 +310,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dsa-profile-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut scale = Scale::smoke();
-        // Shrink further: the assertion is about coverage, not scale.
-        scale.sim.rounds = 10;
-        scale.sim.peers = 12;
         scale.pra.sampling = dsa_core::tournament::OpponentSampling::Sampled(1);
         let report = profile(&scale, &dir, 1_754_600_000_000).expect("profile runs");
         assert!(report.contains("minimum span coverage"));
         assert!(dir.join("profile-smoke.csv").exists());
-        assert!(dir.join("obs-profile-smoke.csv").exists());
         // The run journals itself and prints per-span quantile columns.
         assert!(dir.join(dsa_obs::journal::JOURNAL_FILE).exists());
         assert!(report.contains("journaled profile-smoke-"));
@@ -368,32 +349,31 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dsa-profile-flip-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut scale = Scale::smoke();
-        scale.sim.rounds = 10;
-        scale.sim.peers = 12;
         scale.pra.sampling = dsa_core::tournament::OpponentSampling::Sampled(1);
         profile(&scale, &dir, 1_754_600_000_000).expect("cold run");
-        let (meta, cold) = dsa_obs::read_csv(&dir.join("obs-profile-smoke.csv")).unwrap();
-        assert_eq!(meta.run, "profile-smoke");
-        assert_eq!(meta.scale.as_deref(), Some("smoke"));
-        assert_eq!(meta.ts_ms, 1_754_600_000_000);
+        profile(&scale, &dir, 1_754_600_000_001).expect("warm run");
+        // Two runs under the same cohort → two journal records, with the
+        // cache counters and cache-touch provenance flipping store → hit
+        // between them.
+        let (records, skipped) = dsa_obs::journal::read_all(&dir).unwrap();
+        assert_eq!(skipped, 0);
+        let [cold, warm] = records.as_slice() else {
+            panic!("expected two journal records, got {}", records.len());
+        };
+        for (record, ts_ms) in [(cold, 1_754_600_000_000), (warm, 1_754_600_000_001)] {
+            assert_eq!(record.meta.command, "experiments profile");
+            assert!(record.meta.run_id.starts_with("profile-smoke-"));
+            assert_eq!(record.meta.scale.as_deref(), Some("smoke"));
+            assert_eq!(record.meta.timestamp_ms, ts_ms);
+        }
         assert_eq!(cold.counters.get("cache.miss.absent"), Some(&3));
         assert_eq!(cold.counters.get("cache.store"), Some(&3));
         assert!(!cold.counters.contains_key("cache.hit"));
-        profile(&scale, &dir, 1_754_600_000_001).expect("warm run");
-        let (_, warm) = dsa_obs::read_csv(&dir.join("obs-profile-smoke.csv")).unwrap();
         assert_eq!(warm.counters.get("cache.hit"), Some(&3));
         assert!(!warm.counters.contains_key("cache.miss.absent"));
         assert!(!warm.counters.contains_key("cache.store"));
-        // Two runs under the same cohort → two journal records, with
-        // cache-touch provenance flipping store → hit between them.
-        let (records, skipped) = dsa_obs::journal::read_all(&dir).unwrap();
-        assert_eq!(skipped, 0);
-        assert_eq!(records.len(), 2);
-        assert!(records
-            .iter()
-            .all(|r| r.meta.command == "experiments profile"));
-        assert!(records[0].cache.iter().any(|(_, o)| o == "store"));
-        assert!(records[1].cache.iter().all(|(_, o)| o == "hit"));
+        assert!(cold.cache.iter().any(|(_, o)| o == "store"));
+        assert!(warm.cache.iter().all(|(_, o)| o == "hit"));
         let _ = std::fs::remove_dir_all(&dir);
         dsa_obs::reset();
         dsa_obs::disable();

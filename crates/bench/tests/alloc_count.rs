@@ -1,7 +1,7 @@
-//! Proof of the engines' zero-allocation steady state (run with
-//! `--features count-allocs`).
+//! Proof of the engines' zero-allocation steady state.
 //!
-//! Method: with the counting global allocator installed, a run of `R`
+//! Method: with the counting global allocator installed and counting on
+//! (the guard test proves it is), a run of `R`
 //! rounds and a run of `2R` rounds through a warm thread-local scratch
 //! must perform *exactly the same* number of allocations. Whatever fixed
 //! setup/output allocations a run makes (the returned utility vector,
@@ -11,16 +11,39 @@
 //!
 //! Both populations are mixed (three protocols) so the checks exercise
 //! the branchy decision paths, not just the homogeneous fast paths.
-#![cfg(feature = "count-allocs")]
 
-use dsa_bench::alloc_counter::thread_allocations;
+#[global_allocator]
+static GLOBAL_ALLOC: dsa_obs::alloc::CountingAlloc = dsa_obs::alloc::CountingAlloc;
 
+/// The current thread's allocation count and live bytes. Turns counting
+/// on first, so no test can measure zero because counting was off.
+fn tallies() -> (u64, i64) {
+    dsa_obs::alloc::enable();
+    (
+        dsa_obs::alloc::thread_count(),
+        dsa_obs::alloc::thread_live_bytes(),
+    )
+}
+
+/// Allocations the current thread performs inside `f` (its result is
+/// dropped outside the window).
 fn allocs_during<R>(f: impl FnOnce() -> R) -> u64 {
-    let before = thread_allocations();
+    let (before, _) = tallies();
     let out = f();
-    let after = thread_allocations();
+    let (after, _) = tallies();
     drop(out);
     after - before
+}
+
+#[test]
+fn counting_is_on() {
+    // Without this guard every zero-allocation test below would pass
+    // vacuously if counting were off: 0 == 0.
+    let allocs = allocs_during(|| std::hint::black_box(Vec::<u8>::with_capacity(16)));
+    assert_eq!(
+        allocs, 1,
+        "one Vec::with_capacity must count one allocation"
+    );
 }
 
 #[test]
@@ -77,11 +100,11 @@ fn swarm_footprint_matches_counted_live_bytes() {
     // (span machinery, thread-locals) do not land inside the window.
     run_with_scratch(&protos, &assignment, &cfg, 7, &mut SwarmScratch::default());
 
-    let before = dsa_obs::alloc::thread_live_bytes();
+    let (_, before) = tallies();
     let mut scratch = SwarmScratch::default();
     let out = run_with_scratch(&protos, &assignment, &cfg, 7, &mut scratch);
     drop(out);
-    let live = dsa_obs::alloc::thread_live_bytes() - before;
+    let live = tallies().1 - before;
     let fp = i64::try_from(scratch.footprint()).unwrap();
 
     // With the run's outputs dropped, what is still live on this thread

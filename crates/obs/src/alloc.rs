@@ -1,12 +1,11 @@
 //! Runtime allocation counting: the `--alloc` flag's machinery.
 //!
-//! PR 7 proved the engines allocation-free in steady state with a
-//! test-only counting allocator behind the `count-allocs` cargo feature.
-//! This module promotes that proof into *runtime telemetry*: the
-//! binaries install [`CountingAlloc`] as the global allocator
-//! unconditionally, but it only tallies while [`enable`] has been called
-//! (the `--alloc` flag) — disabled, every allocation pays one relaxed
-//! atomic load on top of the system allocator, nothing else.
+//! The workspace's one counting allocator. Both binaries and the
+//! zero-allocation tests (`dsa-bench`'s `tests/alloc_count.rs`) install
+//! [`CountingAlloc`] as the global allocator unconditionally, but it
+//! only tallies once [`enable`] has been called (the binaries' `--alloc`
+//! flag; the tests call it themselves) — disabled, every allocation pays
+//! one relaxed atomic load on top of the system allocator, nothing else.
 //!
 //! Tallies land in two places:
 //!
@@ -14,17 +13,14 @@
 //!   (monotone), live bytes (allocations minus deallocations) and the
 //!   live-bytes peak. [`publish_into`] folds them into a [`Snapshot`]
 //!   as `mem.alloc.count` / `mem.alloc.bytes` counters and a
-//!   `mem.alloc.peak_live_bytes` gauge, so every scrape, journal record
-//!   and CSV export carries them when counting is on.
+//!   `mem.alloc.peak_live_bytes` gauge, so every scrape and journal
+//!   record carries them when counting is on.
 //! - **Thread-locals**: per-thread allocation count and live bytes, so
 //!   tests (and the engines' per-run steady-state histogram) can measure
 //!   a code region without bleed from other threads.
 //!
 //! The tally path must not allocate (it runs inside the allocator) —
 //! it touches only atomics and const-initialized thread-local cells.
-//! [`tally`]/[`tally_free`] are public so the `count-allocs` test
-//! allocator in `dsa_bench` can delegate here and both allocators share
-//! one set of counters.
 
 use crate::report::Snapshot;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -56,10 +52,9 @@ pub fn enabled() -> bool {
     ALLOC_ON.load(Ordering::Relaxed)
 }
 
-/// Tallies one allocation of `bytes`. Called by the installed global
-/// allocator (gated on [`enabled`]) and unconditionally by the
-/// `count-allocs` test allocator. Never allocates.
-pub fn tally(bytes: usize) {
+/// Tallies one allocation of `bytes`. Called by [`CountingAlloc`] while
+/// [`enabled`]. Never allocates.
+fn tally(bytes: usize) {
     let bytes = bytes as u64;
     COUNT.fetch_add(1, Ordering::Relaxed);
     BYTES.fetch_add(bytes, Ordering::Relaxed);
@@ -72,7 +67,7 @@ pub fn tally(bytes: usize) {
 /// Tallies one deallocation of `bytes` (live-bytes bookkeeping only —
 /// the count/bytes counters track *acquisition*, the steady-state
 /// contract). Never allocates.
-pub fn tally_free(bytes: usize) {
+fn tally_free(bytes: usize) {
     LIVE.fetch_sub(bytes as i64, Ordering::Relaxed);
     THREAD_LIVE.with(|c| c.set(c.get() - bytes as i64));
 }
@@ -96,9 +91,7 @@ pub fn peak_live_bytes() -> u64 {
 }
 
 /// Allocations tallied by the *current thread*. Monotone per thread;
-/// measure a region by differencing. Under the `count-allocs` feature
-/// this counts every allocation; at runtime it counts only while
-/// [`enabled`].
+/// measure a region by differencing. Counts only while [`enabled`].
 #[must_use]
 pub fn thread_count() -> u64 {
     THREAD_COUNT.with(Cell::get)
@@ -132,7 +125,7 @@ pub fn publish_into(snap: &mut Snapshot) {
     );
 }
 
-/// The runtime counting allocator the binaries install. Defers entirely
+/// The counting allocator the binaries and tests install. Defers entirely
 /// to [`System`]; while [`enabled`], tallies every `alloc` /
 /// `alloc_zeroed` / `realloc` (and the matching frees for live-bytes
 /// bookkeeping).

@@ -183,7 +183,7 @@ pub fn render(a: &JournalRecord, b: &JournalRecord, threshold_pct: f64) -> Strin
 }
 
 /// Serializes the diff of two journal records as one JSON document — the
-/// body behind `GET /diff/<a>/<b>` and `dsa obs diff --json`. Same
+/// output of `dsa obs diff --json`. Same
 /// content policy as [`render`]: spans below the noise floor in both
 /// runs are omitted, unchanged counters and histogram p95s are omitted;
 /// `pct` is `null` where the reference side is zero or missing.

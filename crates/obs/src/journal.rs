@@ -8,9 +8,9 @@
 //! hit/miss outcomes, wall-clock, and a compact snapshot of every
 //! counter, gauge, histogram and span — histograms and span durations
 //! reduced to count/sum plus p50/p95/p99 via [`Hist::quantile`]. The
-//! journal is what `dsa obs {runs,diff,regress}` read and what a future
-//! `dsa serve` layer will memory-map: the durable record of exploration
-//! the paper's method calls for.
+//! journal is the only per-run record a run leaves behind, and `dsa obs
+//! {runs,diff,regress,flame,gc}` are the only way to query it: the
+//! durable record of exploration the paper's method calls for.
 //!
 //! **Durability rules.** Appends are line-atomic (one `write` of one
 //! `\n`-terminated line in append mode); a crash can only ever corrupt
@@ -482,6 +482,36 @@ impl JournalRecord {
     }
 }
 
+/// The `dsa obs runs --json` document: a summary object per journal
+/// record plus the count of unparseable lines skipped.
+#[must_use]
+pub fn runs_json(records: &[JournalRecord], skipped: usize) -> String {
+    let mut out = format!(
+        "{{\"count\":{},\"skipped\":{skipped},\"runs\":[",
+        records.len()
+    );
+    for (i, r) in records.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"run\":\"{}\",\"bin\":\"{}\",\"cmd\":\"{}\",\"ts_ms\":{},\"scale\":{},\
+             \"wall_ms\":{},\"spans\":{},\"cache_touches\":{}}}",
+            json::escape(&r.meta.run_id),
+            json::escape(&r.meta.binary),
+            json::escape(&r.meta.command),
+            r.meta.timestamp_ms,
+            opt_str(&r.meta.scale),
+            r.wall_ms,
+            r.spans.len(),
+            r.cache.len()
+        );
+    }
+    out.push_str("]}\n");
+    out
+}
+
 /// The record schema as a structural signature: top-level keys in wire
 /// order plus the per-entry keys of the nested maps. Pinned by a
 /// snapshot test so accidental schema drift (a renamed or re-typed
@@ -827,6 +857,20 @@ mod tests {
         let parsed = JournalRecord::from_json_line(&line).unwrap();
         assert_eq!(parsed.meta.scale, None);
         assert_eq!(parsed.meta.seed, None);
+    }
+
+    #[test]
+    fn runs_json_summarizes_every_record() {
+        let mut second = sample("unit-b", 1);
+        second.meta.scale = None;
+        let doc = json::parse(&runs_json(&[sample("unit-a", 1), second], 3)).unwrap();
+        assert_eq!(doc.get("count").and_then(Json::as_u64), Some(2));
+        assert_eq!(doc.get("skipped").and_then(Json::as_u64), Some(3));
+        let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
+        assert_eq!(runs[1].get("run").and_then(Json::as_str), Some("unit-b"));
+        assert_eq!(runs[0].get("scale").and_then(Json::as_str), Some("smoke"));
+        assert_eq!(runs[1].get("scale"), Some(&Json::Null));
+        assert_eq!(runs[0].get("cache_touches").and_then(Json::as_u64), Some(2));
     }
 
     #[test]

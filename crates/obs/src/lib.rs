@@ -1,4 +1,4 @@
-//! Hand-rolled observability for the DSA stack: metrics, spans, reports.
+//! Hand-rolled observability for the DSA stack: metrics, spans, journal.
 //!
 //! The paper's pipeline runs hundreds of millions of simulations; knowing
 //! *where* a sweep spends its time (and whether a cache hit or a
@@ -20,22 +20,20 @@
 //!   exit. Span **counts** are bit-identical across 1 vs 8 threads;
 //!   durations are reported as distributions (total/self/min/max plus a
 //!   log2 histogram).
-//! - **Reports** ([`snapshot`], [`Snapshot::render`],
-//!   [`Snapshot::to_jsonl`], [`write_csv`]): human-readable tables,
-//!   line-JSON, and stamped `results/obs-<run>.csv` files that
-//!   `dsa obs report` reads back.
+//! - **Snapshots** ([`snapshot`], [`Snapshot::render`]): a point-in-time
+//!   copy of every registry, rendered as the human-readable epilogue
+//!   table a `--metrics`/`--trace` run prints.
 //!
 //! Layered on top: the persistent **run journal** ([`journal`] —
-//! append-only JSONL provenance, one record per observed run), the
-//! Chrome-trace exporter ([`trace`], fed by [`enable_events`] /
-//! [`take_events`]), run diffing ([`diff`]) and the journal-driven perf
-//! gate ([`regress`]) — the machinery behind `dsa obs
-//! {runs,trace,diff,regress}`.
+//! append-only JSONL provenance, one record per observed run and the
+//! only record a run persists), the Chrome-trace exporter ([`trace`],
+//! fed by [`enable_events`] / [`take_events`]), run diffing ([`diff`])
+//! and the journal-driven perf gate ([`regress`]) — the machinery behind
+//! `dsa obs {runs,trace,diff,regress}`.
 //!
 //! And on top of *that*, the live layer: Prometheus text exposition
-//! ([`expo`]), the embedded HTTP scrape/query server ([`serve`] —
-//! `--obs-listen` inside a run, `dsa obs serve` as a resident query
-//! process over the journal) and the polling terminal dashboard
+//! ([`expo`]), the embedded HTTP scrape server ([`serve`], behind
+//! `--obs-listen` inside a run) and the polling terminal dashboard
 //! ([`top`], behind `dsa obs top`). All of it std-only: the HTTP layer
 //! is a hand-rolled GET-only HTTP/1.1 on [`std::net::TcpListener`].
 //!
@@ -60,7 +58,7 @@
 //! `cache.miss.seed`, `parallel.tasks`, `swarm.rounds`, `attacks.cell_ns`,
 //! `evo.rows_per_sec`. Histogram and gauge names carry their unit as a
 //! suffix (`_ns`, `_per_sec`). Names must not contain commas or
-//! whitespace (they are CSV/stamp tokens).
+//! whitespace (span names are fields of `profile-<scale>.csv`).
 
 pub mod alloc;
 pub mod diff;
@@ -83,7 +81,7 @@ pub use metrics::{
     gauge_set, incr, instrument_class, metrics_enabled, observe, observe_thread_dependent,
     trace_enabled, DetClass, Hist,
 };
-pub use report::{fmt_ns, read_csv, snapshot, write_csv, ExportMeta, Snapshot};
+pub use report::{fmt_ns, snapshot, Snapshot};
 pub use span::{flush, span, span_owned, take_events, SpanGuard, SpanStats, TraceEvent};
 
 /// Clears every registry: counters, gauges, histograms, merged spans,

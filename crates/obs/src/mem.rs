@@ -9,8 +9,8 @@
 //! Sampling has three cadences, all gated on `metrics_enabled`:
 //!
 //! - [`sample`] — one explicit reading; the binaries call it right
-//!   before the end-of-run snapshot so every journal record and CSV
-//!   export carries final RSS figures.
+//!   before the end-of-run snapshot so every journal record carries
+//!   final RSS figures.
 //! - [`spawn_sampler`] — a detached background thread on a fixed
 //!   cadence, started alongside `--metrics`, so a live `/metrics`
 //!   scrape or `obs top` session sees RSS move during the run.

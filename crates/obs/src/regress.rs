@@ -295,49 +295,6 @@ pub fn check(
     report
 }
 
-/// Serializes a report as one JSON document — the body behind
-/// `GET /regress`. Carries the verdict (`ok`), the comparison counts,
-/// the config it ran under, the notes, and every regression.
-#[must_use]
-pub fn to_json(report: &RegressReport, cfg: &RegressConfig) -> String {
-    let mut out = format!(
-        "{{\"ok\":{},\"compared\":{},\"window_len\":{},\
-         \"config\":{{\"threshold_pct\":{},\"window\":{},\"min_self_ns\":{},\
-         \"bench_factor\":{},\"min_mem_bytes\":{}}},\"notes\":[",
-        report.ok(),
-        report.compared,
-        report.window_len,
-        json::num(cfg.threshold_pct),
-        cfg.window,
-        cfg.min_self_ns,
-        json::num(cfg.bench_factor),
-        cfg.min_mem_bytes
-    );
-    for (i, note) in report.notes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", json::escape(note));
-    }
-    out.push_str("],\"regressions\":[");
-    for (i, r) in report.regressions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"kind\":\"{}\",\"name\":\"{}\",\"reference\":{},\"latest\":{},\"pct\":{}}}",
-            r.kind,
-            json::escape(&r.name),
-            json::num(r.reference),
-            json::num(r.latest),
-            json::num(r.pct)
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
 /// Renders a report for the terminal / CI log.
 #[must_use]
 pub fn render(report: &RegressReport, cfg: &RegressConfig) -> String {
@@ -559,37 +516,6 @@ mod tests {
         let report = check(&[r], &baselines, &cfg);
         assert!(!report.ok());
         assert_eq!(report.regressions[0].kind, "bench");
-    }
-
-    #[test]
-    fn report_json_carries_verdict_and_regressions() {
-        let cfg = RegressConfig {
-            threshold_pct: 25.0,
-            ..RegressConfig::default()
-        };
-        let mut records: Vec<JournalRecord> = (0..4)
-            .map(|i| record(&format!("r{i}"), 100_000_000))
-            .collect();
-        records.push(record("slow", 150_000_000));
-        let report = check(&records, &BTreeMap::new(), &cfg);
-        let doc = json::parse(&to_json(&report, &cfg)).unwrap();
-        assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
-        let regs = doc.get("regressions").and_then(Json::as_arr).unwrap();
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].get("kind").and_then(Json::as_str), Some("span"));
-        assert_eq!(
-            regs[0].get("name").and_then(Json::as_str),
-            Some("swarm.run")
-        );
-        assert!((regs[0].get("pct").and_then(Json::as_f64).unwrap() - 50.0).abs() < 1e-6);
-        // A passing report with a note serializes ok=true.
-        let report = check(&[record("only", 1)], &BTreeMap::new(), &cfg);
-        let doc = json::parse(&to_json(&report, &cfg)).unwrap();
-        assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(
-            doc.get("notes").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(1)
-        );
     }
 
     #[test]

@@ -1,10 +1,7 @@
-//! The embedded observability server: a zero-dependency, hand-rolled
-//! HTTP/1.1 endpoint over [`std::net::TcpListener`], deployable in two
-//! modes.
-//!
-//! **In-run exposition** ([`Mode::Live`], the `--obs-listen <addr>`
-//! flag on both binaries): a background thread inside any observed run
-//! serves the *live registry* —
+//! The embedded observability server behind `--obs-listen <addr>`: a
+//! zero-dependency, hand-rolled HTTP/1.1 endpoint over
+//! [`std::net::TcpListener`]. A background thread inside any observed
+//! run serves the *live registry* —
 //!
 //! - `GET /metrics` — Prometheus text exposition v0.0.4
 //!   ([`crate::expo::render`] over [`crate::snapshot`]); counters are
@@ -17,25 +14,9 @@
 //!   ([`crate::Snapshot::to_json`]), which `dsa obs top` polls.
 //! - `GET /healthz` — liveness.
 //!
-//! **Resident query mode** ([`Mode::resident`], `dsa obs serve`): a
-//! standalone process answering over the run journal under a results
-//! directory, *without running any simulation* —
-//!
-//! - `GET /runs` — summary list of journal records (JSON array).
-//! - `GET /runs/<id>` — one full record (exact run id or unique
-//!   prefix), as its journal JSON.
-//! - `GET /diff/<a>/<b>` — structured diff ([`crate::diff::to_json`]).
-//! - `GET /regress` — the perf-gate verdict
-//!   ([`crate::regress::to_json`]); HTTP 200 when the gate passes, 503
-//!   when it fails, so `curl -f` gates a CI step by status code alone.
-//! - plus `/metrics`, `/snapshot` and `/healthz` as above — the
-//!   resident server enables metrics and instruments itself
-//!   (`serve.requests`, `serve.http_errors`, `serve.request_ns`), so
-//!   its own scrape endpoint is never empty.
-//!
-//! Journal records are parsed once at startup and re-parsed only when
-//! either journal file's mtime (or size) changes — each request
-//! re-stats two files, not re-reads them.
+//! The server instruments itself (`serve.requests`, `serve.http_errors`,
+//! `serve.request_ns`). The run journal is queried through the CLI
+//! (`dsa obs runs/diff/regress`), not over HTTP.
 //!
 //! The HTTP surface is deliberately minimal: GET only, `Connection:
 //! close`, no keep-alive, no TLS, request heads capped at 16 KiB with
@@ -44,16 +25,11 @@
 //! 400/405/414 responses, never panics — and is exercised directly by
 //! the fuzz-ish tests in `tests/live_scrape.rs`.
 
-use crate::journal::{self, JournalRecord};
 use crate::json;
-use crate::regress::{self, RegressConfig};
 use crate::{expo, metrics, snapshot};
-use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
-use std::sync::Mutex;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 /// Largest request head (request line + headers) the server reads.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -64,68 +40,6 @@ pub const MAX_HEADERS: usize = 64;
 /// Per-connection socket timeout: a stalled client cannot wedge the
 /// accept loop for longer than this.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// What the server answers from.
-pub enum Mode {
-    /// Exposition of this process's live registry only.
-    Live,
-    /// Live exposition plus journal-backed query endpoints over a
-    /// results directory.
-    Resident(Box<ResidentState>),
-}
-
-impl Mode {
-    /// Builds the resident mode over a results directory, with the
-    /// regress configuration and bench baselines `/regress` should use.
-    #[must_use]
-    pub fn resident(dir: PathBuf, cfg: RegressConfig, baselines: BTreeMap<String, f64>) -> Self {
-        Mode::Resident(Box::new(ResidentState {
-            dir,
-            cfg,
-            baselines,
-            cache: Mutex::new(JournalCache::default()),
-        }))
-    }
-}
-
-/// Resident-mode state: the journal directory plus a parsed-record
-/// cache keyed by the two journal files' modification stamps.
-pub struct ResidentState {
-    dir: PathBuf,
-    cfg: RegressConfig,
-    baselines: BTreeMap<String, f64>,
-    cache: Mutex<JournalCache>,
-}
-
-#[derive(Default)]
-struct JournalCache {
-    stamp: Vec<Option<(SystemTime, u64)>>,
-    records: Vec<JournalRecord>,
-    skipped: usize,
-}
-
-impl ResidentState {
-    /// The parsed journal, re-read only when a journal file changed.
-    fn records(&self) -> Result<(Vec<JournalRecord>, usize), String> {
-        let stamp: Vec<Option<(SystemTime, u64)>> =
-            [journal::JOURNAL_ROTATED, journal::JOURNAL_FILE]
-                .iter()
-                .map(|name| {
-                    std::fs::metadata(self.dir.join(name))
-                        .ok()
-                        .map(|m| (m.modified().unwrap_or(SystemTime::UNIX_EPOCH), m.len()))
-                })
-                .collect();
-        let mut cache = self.cache.lock().expect("journal cache poisoned");
-        if cache.stamp != stamp {
-            let (records, skipped) = journal::read_all(&self.dir)?;
-            cache.records = records;
-            cache.skipped = skipped;
-            cache.stamp = stamp;
-        }
-        Ok((cache.records.clone(), cache.skipped))
-    }
-}
 
 // ---- request parsing --------------------------------------------------------
 
@@ -140,13 +54,13 @@ pub struct Request {
 
 /// A response the server will write.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Response {
+struct Response {
     /// HTTP status code.
-    pub status: u16,
+    status: u16,
     /// Content-Type header value.
-    pub content_type: &'static str,
+    content_type: &'static str,
     /// Response body.
-    pub body: String,
+    body: String,
 }
 
 impl Response {
@@ -173,7 +87,6 @@ fn status_text(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         414 => "URI Too Long",
-        503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
 }
@@ -226,153 +139,33 @@ pub fn parse_request(head: &[u8]) -> Result<Request, u16> {
 
 // ---- routing ---------------------------------------------------------------
 
-/// Resolves a `/runs/<token>` segment: exact run id first, then unique
-/// prefix (mirrors the CLI's resolution minus negative indexing, which
-/// reads poorly in a URL).
-fn resolve<'a>(records: &'a [JournalRecord], token: &str) -> Result<&'a JournalRecord, Response> {
-    if let Some(r) = records.iter().rev().find(|r| r.meta.run_id == token) {
-        return Ok(r);
+/// Routes one parsed request. Pure — no socket involved — so tests can
+/// drive the full surface without binding a port.
+fn handle(req: &Request) -> Response {
+    if req.method != "GET" {
+        return Response::error(405, &format!("method {} not allowed", req.method));
     }
-    let matches: Vec<&JournalRecord> = records
-        .iter()
-        .filter(|r| r.meta.run_id.starts_with(token))
-        .collect();
-    match matches.as_slice() {
-        [] => Err(Response::error(
-            404,
-            &format!("no journal record matches '{token}'"),
-        )),
-        [r] => Ok(r),
-        many => Err(Response::error(
-            400,
-            &format!("'{token}' is ambiguous: {} records match", many.len()),
-        )),
-    }
-}
-
-/// The `/runs` index document: a summary object per journal record plus
-/// the count of unparseable lines skipped. Shared verbatim with
-/// `dsa obs runs --json`, so scripting against the CLI and scripting
-/// against the server read the same schema.
-#[must_use]
-pub fn runs_json(records: &[JournalRecord], skipped: usize) -> String {
-    let mut out = format!(
-        "{{\"count\":{},\"skipped\":{skipped},\"runs\":[",
-        records.len()
-    );
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"run\":\"{}\",\"bin\":\"{}\",\"cmd\":\"{}\",\"ts_ms\":{},\"scale\":{},\
-             \"wall_ms\":{},\"spans\":{},\"cache_touches\":{}}}",
-            json::escape(&r.meta.run_id),
-            json::escape(&r.meta.binary),
-            json::escape(&r.meta.command),
-            r.meta.timestamp_ms,
-            r.meta.scale.as_ref().map_or_else(
-                || "null".to_string(),
-                |s| format!("\"{}\"", json::escape(s))
-            ),
-            r.wall_ms,
-            r.spans.len(),
-            r.cache.len()
-        ));
-    }
-    out.push_str("]}\n");
-    out
-}
-
-fn handle_live(path: &str) -> Option<Response> {
-    match path {
-        "/healthz" => Some(Response {
+    // Strip any query string: no endpoint takes parameters.
+    match req.path.split('?').next().unwrap_or("") {
+        "/healthz" => Response {
             status: 200,
             content_type: "text/plain; charset=utf-8",
             body: "ok\n".to_string(),
-        }),
-        "/metrics" => Some(match expo::render(&snapshot()) {
+        },
+        "/metrics" => match expo::render(&snapshot()) {
             Ok(body) => Response {
                 status: 200,
                 content_type: expo::CONTENT_TYPE,
                 body,
             },
             Err(msg) => Response::error(500, &msg),
-        }),
+        },
         "/snapshot" => {
             let mut body = snapshot().to_json();
             body.push('\n');
-            Some(Response::json(200, body))
+            Response::json(200, body)
         }
-        _ => None,
-    }
-}
-
-fn handle_resident(state: &ResidentState, path: &str) -> Response {
-    let journal = match state.records() {
-        Ok(r) => r,
-        Err(msg) => return Response::error(500, &msg),
-    };
-    let (records, skipped) = journal;
-    if path == "/runs" {
-        return Response::json(200, runs_json(&records, skipped));
-    }
-    if let Some(token) = path.strip_prefix("/runs/") {
-        if token.is_empty() || token.contains('/') {
-            return Response::error(404, &format!("unknown path {path:?}"));
-        }
-        return match resolve(&records, token) {
-            Ok(r) => Response::json(200, r.to_json_line() + "\n"),
-            Err(resp) => resp,
-        };
-    }
-    if let Some(rest) = path.strip_prefix("/diff/") {
-        let Some((a, b)) = rest.split_once('/') else {
-            return Response::error(400, "diff needs two runs: /diff/<a>/<b>");
-        };
-        if a.is_empty() || b.is_empty() || b.contains('/') {
-            return Response::error(400, "diff needs two runs: /diff/<a>/<b>");
-        }
-        let ra = match resolve(&records, a) {
-            Ok(r) => r,
-            Err(resp) => return resp,
-        };
-        let rb = match resolve(&records, b) {
-            Ok(r) => r,
-            Err(resp) => return resp,
-        };
-        let threshold = state.cfg.threshold_pct;
-        return Response::json(200, crate::diff::to_json(ra, rb, threshold) + "\n");
-    }
-    if path == "/regress" {
-        let report = regress::check(&records, &state.baselines, &state.cfg);
-        let status = if report.ok() { 200 } else { 503 };
-        return Response::json(status, regress::to_json(&report, &state.cfg) + "\n");
-    }
-    Response::error(404, &format!("unknown path {path:?}"))
-}
-
-/// Routes one parsed request. Pure — no socket involved — so tests can
-/// drive the full surface without binding a port.
-#[must_use]
-pub fn handle(req: &Request, mode: &Mode) -> Response {
-    if req.method != "GET" {
-        return Response::error(405, &format!("method {} not allowed", req.method));
-    }
-    // Strip any query string: no endpoint takes parameters yet.
-    let path = req.path.split('?').next().unwrap_or("");
-    if let Some(resp) = handle_live(path) {
-        return resp;
-    }
-    match mode {
-        Mode::Live => Response::error(
-            404,
-            &format!(
-                "unknown path {path:?} (this is an in-run exposition endpoint; \
-                 journal queries need `dsa obs serve`)"
-            ),
-        ),
-        Mode::Resident(state) => handle_resident(state, path),
+        path => Response::error(404, &format!("unknown path {path:?}")),
     }
 }
 
@@ -411,7 +204,7 @@ fn write_response(stream: &mut TcpStream, resp: &Response) {
         .and_then(|()| stream.flush());
 }
 
-fn serve_connection(stream: &mut TcpStream, mode: &Mode) {
+fn serve_connection(stream: &mut TcpStream) {
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let t0 = Instant::now();
@@ -421,7 +214,7 @@ fn serve_connection(stream: &mut TcpStream, mode: &Mode) {
     // serve.requests = 1 and successive scrapes grow monotonically.
     metrics::incr("serve.requests");
     let resp = match parsed {
-        Ok(req) => handle(&req, mode),
+        Ok(req) => handle(&req),
         Err(status) => Response::error(status, status_text(status)),
     };
     if resp.status >= 400 {
@@ -435,75 +228,42 @@ fn serve_connection(stream: &mut TcpStream, mode: &Mode) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// A bound observability server, ready to accept.
-pub struct Server {
-    listener: TcpListener,
-    mode: Mode,
-}
-
-impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:9464`; port 0 picks a free port).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the address cannot be parsed or bound.
-    pub fn bind(addr: &str, mode: Mode) -> Result<Self, String> {
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| format!("bad listen address {addr:?}: {e}"))?
-            .collect();
-        let listener = TcpListener::bind(&addrs[..]).map_err(|e| format!("binding {addr}: {e}"))?;
-        Ok(Self { listener, mode })
-    }
-
-    /// The address actually bound (resolves port 0).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the socket's local address is unavailable.
-    pub fn local_addr(&self) -> Result<SocketAddr, String> {
-        self.listener
-            .local_addr()
-            .map_err(|e| format!("local_addr: {e}"))
-    }
-
-    /// Accepts and serves connections forever, one at a time. The
-    /// sequential loop is deliberate: a scrape endpoint's request rate
-    /// is one poller every few seconds, and per-connection timeouts
-    /// bound how long a stalled client can hold the loop.
-    pub fn run(self) {
-        for stream in self.listener.incoming() {
-            match stream {
-                Ok(mut stream) => serve_connection(&mut stream, &self.mode),
-                Err(_) => continue,
-            }
-        }
-    }
-}
-
-/// Binds `addr` and serves it from a background thread — what
-/// `--obs-listen` spawns inside an observed run. Returns the bound
-/// address (so port 0 callers learn their port). The thread is detached:
-/// it lives until the process exits, which is exactly the lifetime an
-/// in-run exposition endpoint should have.
+/// Binds `addr` (e.g. `127.0.0.1:9464`; port 0 picks a free port) and
+/// serves it from a background thread — what `--obs-listen` spawns
+/// inside an observed run. Returns the bound address (so port 0 callers
+/// learn their port). The thread is detached: it lives until the process
+/// exits, which is exactly the lifetime an in-run exposition endpoint
+/// should have. It accepts and serves connections one at a time: a
+/// scrape endpoint's request rate is one poller every few seconds, and
+/// per-connection timeouts bound how long a stalled client can hold the
+/// loop.
 ///
 /// # Errors
 ///
-/// Returns an error when binding fails (the run proceeds unobserved
-/// rather than crashing — callers decide whether that is fatal).
-pub fn spawn(addr: &str, mode: Mode) -> Result<SocketAddr, String> {
-    let server = Server::bind(addr, mode)?;
-    let bound = server.local_addr()?;
+/// Returns an error when the address cannot be parsed or bound (the
+/// caller decides whether that is fatal).
+pub fn spawn(addr: &str) -> Result<SocketAddr, String> {
+    let addrs: Vec<SocketAddr> = addr
+        .to_socket_addrs()
+        .map_err(|e| format!("bad listen address {addr:?}: {e}"))?
+        .collect();
+    let listener = TcpListener::bind(&addrs[..]).map_err(|e| format!("binding {addr}: {e}"))?;
+    let bound = listener
+        .local_addr()
+        .map_err(|e| format!("local_addr: {e}"))?;
     std::thread::Builder::new()
         .name("dsa-obs-serve".to_string())
-        .spawn(move || server.run())
+        .spawn(move || {
+            for mut stream in listener.incoming().flatten() {
+                serve_connection(&mut stream);
+            }
+        })
         .map_err(|e| format!("spawning server thread: {e}"))?;
     Ok(bound)
 }
 
 /// A minimal HTTP/1.1 GET client for the same surface: used by
-/// `dsa obs top`, the CLI's `--monotone` lint mode and the integration
-/// tests. Returns `(status, body)`.
+/// `dsa obs top` and the integration tests. Returns `(status, body)`.
 ///
 /// # Errors
 ///
@@ -584,13 +344,10 @@ mod tests {
     #[test]
     fn live_mode_routes_and_404s() {
         let get = |path: &str| {
-            handle(
-                &Request {
-                    method: "GET".to_string(),
-                    path: path.to_string(),
-                },
-                &Mode::Live,
-            )
+            handle(&Request {
+                method: "GET".to_string(),
+                path: path.to_string(),
+            })
         };
         assert_eq!(get("/healthz").status, 200);
         assert_eq!(get("/metrics").status, 200);
@@ -599,13 +356,10 @@ mod tests {
         assert_eq!(get("/nope").status, 404);
         // Query strings are stripped before routing.
         assert_eq!(get("/healthz?x=1").status, 200);
-        let post = handle(
-            &Request {
-                method: "POST".to_string(),
-                path: "/metrics".to_string(),
-            },
-            &Mode::Live,
-        );
+        let post = handle(&Request {
+            method: "POST".to_string(),
+            path: "/metrics".to_string(),
+        });
         assert_eq!(post.status, 405);
     }
 }

@@ -1,8 +1,8 @@
 //! `dsa obs top`: a polling terminal dashboard over a live
 //! `/snapshot` endpoint.
 //!
-//! Connects to an address exposed by `--obs-listen` (or by
-//! `dsa obs serve`), polls `GET /snapshot` on an interval, and redraws
+//! Connects to an address exposed by `--obs-listen`, polls
+//! `GET /snapshot` on an interval, and redraws
 //! a plain-ANSI dashboard: top counters with per-interval rates, span
 //! self-time ranked with text bars, gauges verbatim, and — when the
 //! run records memory telemetry — a memory pane with RSS, arena

@@ -1,15 +1,12 @@
 //! End-to-end tests of the embedded observability server: a live
 //! in-process scrape (two monotone `/metrics` scrapes against a running
-//! registry — the `--obs-listen` contract), the resident query mode over
-//! a real journal directory, a golden exposition body, and fuzz-ish
-//! robustness of the HTTP request parser (malformed input maps to error
-//! statuses, never a panic, and never kills the accept loop).
+//! registry — the `--obs-listen` contract), a golden exposition body,
+//! and fuzz-ish robustness of the HTTP request parser (malformed input
+//! maps to error statuses, never a panic, and never kills the accept
+//! loop).
 
-use dsa_obs::journal::{self, JournalRecord};
-use dsa_obs::metrics_enabled;
-use dsa_obs::serve::{self, http_get, Mode};
-use dsa_obs::{expo, regress::RegressConfig, Snapshot};
-use std::collections::BTreeMap;
+use dsa_obs::serve::{self, http_get};
+use dsa_obs::{expo, Snapshot};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::Mutex;
@@ -17,26 +14,6 @@ use std::sync::Mutex;
 /// The enable flags and registries are process-global; serialize every
 /// test that touches them (same pattern as the crate's unit tests).
 static LOCK: Mutex<()> = Mutex::new(());
-
-fn unique_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dsa-obs-serve-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn meta(run_id: &str, command: &str, ts_ms: u64) -> dsa_obs::RunMeta {
-    dsa_obs::RunMeta {
-        run_id: run_id.to_string(),
-        binary: "dsa".to_string(),
-        command: command.to_string(),
-        timestamp_ms: ts_ms,
-        scale: Some("smoke".to_string()),
-        domain: Some("swarm".to_string()),
-        seed: Some(1),
-        threads: 1,
-    }
-}
 
 /// A snapshot with one of each instrument kind, built directly (not via
 /// the global registry) so it is identical on every run.
@@ -97,7 +74,7 @@ fn live_scrapes_are_valid_and_monotone() {
     dsa_obs::observe("test.live.lat_ns", 700);
     dsa_obs::gauge_set("test.live.rows_per_sec", 10.0);
 
-    let addr = serve::spawn("127.0.0.1:0", Mode::Live).unwrap();
+    let addr = serve::spawn("127.0.0.1:0").unwrap();
     let addr = addr.to_string();
 
     let (status, body1) = http_get(&addr, "/metrics").unwrap();
@@ -126,7 +103,7 @@ fn live_scrapes_are_valid_and_monotone() {
     let snap = Snapshot::from_json(&body).unwrap();
     assert!(snap.counters["test.live.events"] >= 2);
 
-    // Live mode has no journal endpoints.
+    // The journal is queried through the CLI, not over HTTP.
     let (status, _) = http_get(&addr, "/runs").unwrap();
     assert_eq!(status, 404);
 
@@ -135,92 +112,9 @@ fn live_scrapes_are_valid_and_monotone() {
 }
 
 #[test]
-fn resident_mode_answers_journal_queries_without_a_simulation() {
-    let _g = LOCK.lock().unwrap();
-    let dir = unique_dir("resident");
-
-    // Two comparable runs (same command + scale) with a planted slowdown.
-    for (i, wall_ms, self_ns) in [(1u64, 10u64, 1_000_000u64), (2, 30, 3_000_000)] {
-        let mut snap = Snapshot::default();
-        snap.counters.insert("cache.hit".to_string(), 5 * i);
-        let mut dur = dsa_obs::Hist::default();
-        dur.record(self_ns);
-        snap.spans
-            .insert("swarm.run".to_string(), dsa_obs::SpanStats { dur, self_ns });
-        let record = JournalRecord::from_snapshot(
-            meta(&format!("run-{i}"), "dsa swarm pra --all", 1_000 + i),
-            wall_ms,
-            &snap,
-        );
-        journal::append(&dir, &record, journal::DEFAULT_MAX_BYTES).unwrap();
-    }
-
-    let was_enabled = metrics_enabled();
-    let mode = Mode::resident(dir.clone(), RegressConfig::default(), BTreeMap::new());
-    let addr = serve::spawn("127.0.0.1:0", mode).unwrap().to_string();
-
-    let (status, body) = http_get(&addr, "/healthz").unwrap();
-    assert_eq!((status, body.as_str()), (200, "ok\n"));
-
-    let (status, body) = http_get(&addr, "/runs").unwrap();
-    assert_eq!(status, 200);
-    let doc = dsa_obs::json::parse(&body).unwrap();
-    assert_eq!(doc.get("count").and_then(|v| v.as_u64()), Some(2));
-    let runs = doc.get("runs").and_then(|v| v.as_arr()).unwrap();
-    assert_eq!(runs[1].get("run").and_then(|v| v.as_str()), Some("run-2"));
-
-    // One record by exact id, as its journal JSON.
-    let (status, body) = http_get(&addr, "/runs/run-1").unwrap();
-    assert_eq!(status, 200);
-    let record = JournalRecord::from_json_line(body.trim()).unwrap();
-    assert_eq!(record.meta.run_id, "run-1");
-    let (status, _) = http_get(&addr, "/runs/nope").unwrap();
-    assert_eq!(status, 404);
-    // An ambiguous prefix is a client error, not a guess.
-    let (status, _) = http_get(&addr, "/runs/run-").unwrap();
-    assert_eq!(status, 400);
-
-    // A structured diff between the two runs.
-    let (status, body) = http_get(&addr, "/diff/run-1/run-2").unwrap();
-    assert_eq!(status, 200);
-    let doc = dsa_obs::json::parse(&body).unwrap();
-    assert_eq!(doc.get("comparable").and_then(|v| v.as_bool()), Some(true));
-    let wall = doc.get("wall_ms").unwrap();
-    assert_eq!(wall.get("b").and_then(|v| v.as_u64()), Some(30));
-
-    // The regress gate sees a 200% span regression → verdict fails → 503.
-    let (status, body) = http_get(&addr, "/regress").unwrap();
-    assert_eq!(status, 503);
-    let doc = dsa_obs::json::parse(&body).unwrap();
-    assert_eq!(doc.get("ok").and_then(|v| v.as_bool()), Some(false));
-
-    // A journal append after startup is picked up (mtime-based refresh).
-    let record = JournalRecord::from_snapshot(
-        meta("run-3", "dsa gossip pra", 2_000),
-        5,
-        &Snapshot::default(),
-    );
-    journal::append(&dir, &record, journal::DEFAULT_MAX_BYTES).unwrap();
-    let (status, body) = http_get(&addr, "/runs").unwrap();
-    assert_eq!(status, 200);
-    let doc = dsa_obs::json::parse(&body).unwrap();
-    assert_eq!(doc.get("count").and_then(|v| v.as_u64()), Some(3));
-
-    // The resident server's own /metrics stays a valid exposition.
-    let (status, body) = http_get(&addr, "/metrics").unwrap();
-    assert_eq!(status, 200);
-    expo::parse(&body).unwrap();
-
-    if !was_enabled {
-        dsa_obs::disable();
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn malformed_requests_get_error_statuses_and_never_kill_the_server() {
     let _g = LOCK.lock().unwrap();
-    let addr = serve::spawn("127.0.0.1:0", Mode::Live).unwrap().to_string();
+    let addr = serve::spawn("127.0.0.1:0").unwrap().to_string();
 
     let send_raw = |raw: &[u8]| -> String {
         let mut stream = TcpStream::connect(&addr).unwrap();

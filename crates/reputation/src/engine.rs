@@ -177,7 +177,7 @@ impl LedgerMat {
 /// the two index samplers, allocated once and recycled across runs.
 /// After one warm run at a given population size, subsequent runs
 /// through the same scratch perform zero steady-state heap allocations
-/// per round (enforced by the `count-allocs` tests in `dsa-bench`).
+/// per round (enforced by the `alloc_count` tests in `dsa-bench`).
 ///
 /// A scratch carries no results between runs — every buffer is resized
 /// and cleared before being read — so reusing one (even dirty, from a

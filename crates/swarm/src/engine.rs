@@ -106,7 +106,7 @@ struct PeerState {
 /// round loop touches, allocated once and recycled across runs. After one
 /// warm run at a given population size, subsequent runs through the same
 /// scratch perform **zero** steady-state heap allocations per round (the
-/// `count-allocs` tests in `dsa-bench` enforce this).
+/// `alloc_count` tests in `dsa-bench` enforce this).
 ///
 /// A scratch carries no results between runs — [`run_with_scratch`]
 /// resizes and clears everything it reads — so reusing one (even "dirty"
