@@ -66,22 +66,6 @@ impl AxisAttribution {
     pub fn adj_r_squared(&self) -> f64 {
         self.fit.as_ref().map_or(f64::NAN, |f| f.adj_r_squared)
     }
-
-    /// The fitted estimate of the indicator column coding `level` of
-    /// coded dimension `coded_dim` — 0 for the baseline level — or `None`
-    /// without a full fit or for a level absent from the surface. This is
-    /// what the dimension-flip navigator differences.
-    #[must_use]
-    pub fn level_estimate(&self, dm: &DesignMatrix, coded_dim: usize, level: usize) -> Option<f64> {
-        let fit = self.fit.as_ref()?;
-        let code = &dm.dims[coded_dim];
-        Some(match code.column_of(level) {
-            // terms[0] is the intercept; column j is term j + 1.
-            Some(col) => fit.terms[col + 1].estimate,
-            None if code.levels[0] == level => 0.0,
-            None => return None,
-        })
-    }
 }
 
 /// One-way η² of coded dimension `coded_dim` for response `y`:
@@ -299,33 +283,6 @@ mod tests {
         assert!(scan[0].f_stat > 1.0);
         // The non-planted pairs explain essentially nothing extra.
         assert!(scan[2].delta_r2 < 0.01);
-    }
-
-    #[test]
-    fn level_estimate_reads_the_fit() {
-        let (dm, y) = planted();
-        let at = attribute_axis(&dm, "perf", &y);
-        // Baseline level estimate is zero by construction.
-        assert_eq!(at.level_estimate(&dm, 0, 0), Some(0.0));
-        // A=a2 vs A=a1 differ by ~10 (plus half the interaction mass).
-        let a1 = at.level_estimate(&dm, 0, 1).unwrap();
-        let a2 = at.level_estimate(&dm, 0, 2).unwrap();
-        assert!(a2 > a1 + 5.0, "a1 {a1} a2 {a2}");
-        // Absent level on a collapsed subset → None.
-        let sub = DesignMatrix::build(
-            &DesignSpace::new(
-                "s",
-                vec![Dimension::new(
-                    "A",
-                    vec!["a0".into(), "a1".into(), "a2".into()],
-                )],
-            ),
-            &[1, 2],
-            1,
-        );
-        let ys = [1.0, 2.0];
-        let sub_at = attribute_axis(&sub, "x", &ys);
-        assert!(sub_at.level_estimate(&sub, 0, 0).is_none());
     }
 
     #[test]

@@ -22,13 +22,15 @@
 //!    interaction scan ranked by incremental R².
 //! 4. [`navigate`] is the dimension-flip navigator: which single
 //!    actualization change most improves axis X without degrading axis
-//!    Y — predicted from the fitted model, then *verified* against the
-//!    true sweep values.
+//!    Y — predicted from the fitted model's cached estimates, then
+//!    *verified* against the true sweep values.
 //! 5. [`sweep`] stamps the derived tables at
 //!    `results/attrib-<domain>-<response>-<scale>.csv` with an `attrib=`
 //!    fingerprint over the source sweeps' stamps and the model spec, so
 //!    changed sweeps or model changes self-invalidate without touching
-//!    PRA/attack/evo caches.
+//!    PRA/attack/evo caches. A table holds every axis' effect sizes,
+//!    main-effects estimates and interaction scan, so only a cache miss
+//!    fits anything.
 //!
 //! Surfaced as `dsa <domain> attribute {fit,interactions,navigate}` and
 //! `experiments attribution [--response pra|attack|evolution]`.
@@ -43,4 +45,4 @@ pub use design::{DesignMatrix, DesignView, DimCode};
 pub use fit::{attribute_axis, interaction_scan, AxisAttribution, DimEffect, InteractionEffect};
 pub use navigate::{navigate, FlipSuggestion};
 pub use response::{attack_surface, evolution_surface, pra_surface, ResponseKind, ResponseSurface};
-pub use sweep::{attribute_surface, fingerprint, AttribTable, AxisSummary, SPEC_VERSION};
+pub use sweep::{fingerprint, AttribTable, AxisSummary, LevelEstimate, SPEC_VERSION};

@@ -5,13 +5,12 @@
 //! (one to improve, one to guard), the navigator enumerates every
 //! single-coordinate flip of a starting protocol, predicts both axes'
 //! deltas from the fitted main-effects models (the difference of the two
-//! levels' dummy estimates), keeps the flips that improve the target
-//! without degrading the guard beyond a tolerance, and then *verifies*
-//! the top suggestions against the true sweep values — the regression
-//! proposes, the measurement disposes.
+//! levels' dummy estimates, as the attribution table caches them), keeps
+//! the flips that improve the target without degrading the guard beyond
+//! a tolerance, and then *verifies* the top suggestions against the true
+//! sweep values — the regression proposes, the measurement disposes.
 
-use crate::design::DesignMatrix;
-use crate::fit::AxisAttribution;
+use crate::sweep::AxisSummary;
 use dsa_core::space::DesignSpace;
 use std::collections::HashMap;
 
@@ -54,33 +53,40 @@ impl FlipSuggestion {
 /// `start`: which one actualization change most improves `improve`
 /// without predicted damage beyond `guard_tolerance` on `guard`?
 /// Suggestions come back ranked by predicted improvement (best first),
-/// at most `top`, each verified against the true per-row axis values.
+/// at most `top`, each verified against the true axis values over the
+/// surface's `rows`.
 ///
-/// Returns an empty list when the improved axis has no fitted model (the
-/// navigator refuses to guess without one) or when no flip is predicted
+/// The predictions come from the axes' cached main-effects estimates
+/// ([`AxisSummary::level_estimate`]), which all axes of one surface code
+/// over the same dimensions; nothing is refitted. Returns an empty list
+/// when the improved (or a given guard) axis has no fitted model — the
+/// navigator refuses to guess without one — or when no flip is predicted
 /// to help.
 ///
 /// # Panics
 ///
-/// Panics when `start` lies outside the space.
+/// Panics when `start` lies outside the space, or when `improve` codes a
+/// dimension the space does not have.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn navigate(
     space: &DesignSpace,
-    dm: &DesignMatrix,
-    improve: &AxisAttribution,
-    guard: Option<&AxisAttribution>,
+    rows: &[usize],
+    improve: &AxisSummary,
+    guard: Option<&AxisSummary>,
     improve_y: &[f64],
     guard_y: Option<&[f64]>,
     start: usize,
     guard_tolerance: f64,
     top: usize,
 ) -> Vec<FlipSuggestion> {
-    if improve.fit.is_none() || (guard.is_some() && guard.and_then(|g| g.fit.as_ref()).is_none()) {
+    let Some(estimates) = &improve.estimates else {
+        return Vec::new();
+    };
+    if guard.is_some_and(|g| g.estimates.is_none()) {
         return Vec::new();
     }
-    let row_of: HashMap<usize, usize> = dm
-        .rows
+    let row_of: HashMap<usize, usize> = rows
         .iter()
         .enumerate()
         .map(|(row, &index)| (index, row))
@@ -88,40 +94,43 @@ pub fn navigate(
     let coords = space.coords(start);
     let start_row = row_of.get(&start).copied();
     let mut suggestions = Vec::new();
-    for (k, code) in dm.dims.iter().enumerate() {
-        let current = coords[code.dim];
-        let Some(est_now) = improve.level_estimate(dm, k, current) else {
+    for (k, (effect, levels)) in improve.dims.iter().zip(estimates).enumerate() {
+        let d = space
+            .dimensions()
+            .iter()
+            .position(|dim| dim.name == effect.name)
+            .expect("a coded dimension of this space");
+        let current = coords[d];
+        let Some(est_now) = improve.level_estimate(k, current) else {
             // The starting point uses a level the surface never measured;
             // no calibrated prediction exists along this dimension.
             continue;
         };
-        let guard_now = guard.and_then(|g| g.level_estimate(dm, k, current));
-        for &level in &code.levels {
+        let guard_now = guard.and_then(|g| g.level_estimate(k, current));
+        for e in levels {
+            let level = e.level;
             if level == current {
                 continue;
             }
-            let predicted_improve =
-                improve.level_estimate(dm, k, level).expect("present level") - est_now;
+            let predicted_improve = e.estimate - est_now;
             let predicted_guard = match (guard, guard_now) {
-                (Some(g), Some(now)) => {
-                    g.level_estimate(dm, k, level).expect("present level") - now
-                }
+                (Some(g), Some(now)) => g.level_estimate(k, level).expect("present level") - now,
                 _ => 0.0,
             };
             if predicted_improve <= 0.0 || predicted_guard < -guard_tolerance {
                 continue;
             }
             let mut target = coords.clone();
-            target[code.dim] = level;
+            target[d] = level;
             let index = space.index(&target);
             let actual = |y: &[f64]| match (start_row, row_of.get(&index)) {
                 (Some(s), Some(&t)) => y[t] - y[s],
                 _ => f64::NAN,
             };
-            let dim_names = &space.dimensions()[code.dim];
+            let dim_names = &space.dimensions()[d];
             suggestions.push(FlipSuggestion {
                 index,
-                dim: code.name.clone(),
+                dim: effect.name.clone(),
                 from_level: dim_names.levels[current].clone(),
                 to_level: dim_names.levels[level].clone(),
                 predicted_improve,
@@ -143,7 +152,7 @@ pub fn navigate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fit::attribute_axis;
+    use crate::design::DesignMatrix;
     use dsa_core::space::Dimension;
 
     /// 3 × 2 additive space: A raises the target axis, B trades the
@@ -179,12 +188,12 @@ mod tests {
     #[test]
     fn navigator_prefers_the_biggest_safe_flip() {
         let (s, dm, perf, rob) = setup();
-        let perf_fit = attribute_axis(&dm, "perf", &perf);
-        let rob_fit = attribute_axis(&dm, "rob", &rob);
+        let perf_fit = AxisSummary::attribute(&dm, "perf", &perf);
+        let rob_fit = AxisSummary::attribute(&dm, "rob", &rob);
         // Start at the origin (A=a0, B=b0); guard robustness tightly.
         let out = navigate(
             &s,
-            &dm,
+            &dm.rows,
             &perf_fit,
             Some(&rob_fit),
             &perf,
@@ -209,8 +218,8 @@ mod tests {
     #[test]
     fn unguarded_navigation_takes_the_tradeoff_flip_too() {
         let (s, dm, perf, _) = setup();
-        let perf_fit = attribute_axis(&dm, "perf", &perf);
-        let out = navigate(&s, &dm, &perf_fit, None, &perf, None, 0, 0.0, 10);
+        let perf_fit = AxisSummary::attribute(&dm, "perf", &perf);
+        let out = navigate(&s, &dm.rows, &perf_fit, None, &perf, None, 0, 0.0, 10);
         assert!(out.iter().any(|f| f.dim == "B"));
         assert!(out.iter().all(|f| f.actual_guard.is_nan()));
         // An unmeasured guard must not refute a measured improvement:
@@ -226,8 +235,8 @@ mod tests {
         );
         let dm = DesignMatrix::build(&s, &[0, 1], 1);
         let y = [0.0, 1.0];
-        let at = attribute_axis(&dm, "x", &y);
-        assert!(at.fit.is_none());
-        assert!(navigate(&s, &dm, &at, None, &y, None, 0, 0.0, 5).is_empty());
+        let at = AxisSummary::attribute(&dm, "x", &y);
+        assert!(at.estimates.is_none());
+        assert!(navigate(&s, &dm.rows, &at, None, &y, None, 0, 0.0, 5).is_empty());
     }
 }

@@ -1,20 +1,36 @@
 //! The stamped-CSV cache for derived attribution tables.
 //!
-//! An attribution table is derived — cheap to recompute from a cached
-//! sweep — but it is a *published artifact* (`experiments attribution`
-//! quotes it, downstream tooling reads it), so it carries the same
-//! self-invalidating stamp discipline as the sweeps themselves: one file
-//! per (domain, response, scale) at
+//! An attribution table holds everything the attribution surfaces print,
+//! so a warm `experiments attribution` or `dsa <domain> attribute
+//! {fit,interactions,navigate}` renders from the table alone and fits
+//! nothing. Version 2 of the table ([`SPEC_VERSION`]) holds, per response
+//! axis:
+//!
+//! * the summary: n, R², adjusted R² and each coded dimension's effect
+//!   sizes (one-way η², partial η², nested F and its p-value);
+//! * the main-effects estimates of every present level of every coded
+//!   dimension, baseline first at 0 — only for axes the main-effects
+//!   model fits (what the dimension-flip navigator differences);
+//! * the pairwise interaction scan, ranked by incremental R² — the swarm
+//!   space's scan factors a 1092-column model, which is why the table is
+//!   worth caching rather than cheap to recompute.
+//!
+//! Only a cache miss fits: [`AttribTable::load_or_compute`] builds the
+//! design, runs [`attribute_axis`] and [`interaction_scan`] per axis and
+//! stores the result. The table is a published artifact as well
+//! (`experiments attribution` quotes it, downstream tooling reads it), so
+//! it carries the same self-invalidating stamp discipline as the sweeps
+//! themselves: one file per (domain, response, scale) at
 //! `results/attrib-<domain>-<response>-<scale>.csv`, stamped with the
 //! base sweep key re-fingerprinted through the `attrib=` field. The
 //! fingerprint hashes the *source sweeps' stamps* plus the model
-//! specification ([`SPEC_VERSION`]), so a recomputed underlying sweep, a
-//! different response, or a changed attribution model all mismatch and
-//! recompute — while PRA, attack and evo stamps live in different files
-//! under different fingerprint fields and stay untouched.
+//! specification, so a recomputed underlying sweep, a different response,
+//! or a changed attribution model (a version 1 table, too) all mismatch
+//! and recompute — while PRA, attack and evo stamps live in different
+//! files under different fingerprint fields and stay untouched.
 
 use crate::design::DesignMatrix;
-use crate::fit::{attribute_axis, AxisAttribution, DimEffect};
+use crate::fit::{attribute_axis, interaction_scan, DimEffect, InteractionEffect};
 use crate::response::ResponseSurface;
 use dsa_core::cache::{read_stamped, write_stamped, SweepKey};
 use dsa_core::domain::{fnv1a, DynDomain};
@@ -23,10 +39,30 @@ use std::path::{Path, PathBuf};
 
 /// The attribution model specification, hashed into every table's
 /// fingerprint: editing the model (different coding, different effect
-/// sizes) invalidates cached tables computed under the old one.
-pub const SPEC_VERSION: &str = "attrib v1 dummy-main-effects oneway-eta partial-eta nested-F";
+/// sizes) or the table's contents invalidates cached tables computed
+/// under the old one.
+pub const SPEC_VERSION: &str =
+    "attrib v2 dummy-main-effects oneway-eta partial-eta nested-F level-estimates interaction-scan";
 
-/// One axis' cached summary: fit quality plus per-dimension effects.
+/// The summary section's header line.
+const SUMMARY_HEADER: &str =
+    "axis,dimension,levels,eta_sq,partial_eta_sq,f_stat,p_value,r2,adj_r2,n";
+/// The estimate section's header line.
+const ESTIMATE_HEADER: &str = "axis,dimension,level,estimate";
+/// The interaction-scan section's header line.
+const SCAN_HEADER: &str = "axis,dim_a,dim_b,columns,delta_r2,f_stat,p_value";
+
+/// The main-effects estimate of one present level of a coded dimension.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LevelEstimate {
+    /// The level's index in the space descriptor.
+    pub level: usize,
+    /// Its fitted indicator coefficient; 0 for the baseline level.
+    pub estimate: f64,
+}
+
+/// One axis' cached attribution: fit quality, per-dimension effects, the
+/// main-effects estimates and the interaction scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AxisSummary {
     /// Axis name.
@@ -39,17 +75,60 @@ pub struct AxisSummary {
     pub adj_r2: f64,
     /// Per-dimension effects, in space-descriptor order.
     pub dims: Vec<DimEffect>,
+    /// The main-effects estimates, one list per entry of `dims` holding
+    /// that dimension's present levels in enumeration order (baseline
+    /// first); `None` when the surface supports no main-effects fit.
+    pub estimates: Option<Vec<Vec<LevelEstimate>>>,
+    /// Every pair of `dims`, ranked by incremental R² (infeasible pairs
+    /// last), as [`interaction_scan`] returns them.
+    pub interactions: Vec<InteractionEffect>,
 }
 
-impl From<&AxisAttribution> for AxisSummary {
-    fn from(at: &AxisAttribution) -> Self {
+impl AxisSummary {
+    /// Attributes one response axis over a design matrix: the fit, the
+    /// effect sizes and the interaction scan — the cache-miss path.
+    pub(crate) fn attribute(dm: &DesignMatrix, axis: &str, y: &[f64]) -> Self {
+        let at = attribute_axis(dm, axis, y);
+        let estimates = at.fit.as_ref().map(|fit| {
+            dm.dims
+                .iter()
+                .map(|code| {
+                    code.levels
+                        .iter()
+                        .map(|&level| LevelEstimate {
+                            level,
+                            // terms[0] is the intercept; column j is term j + 1.
+                            estimate: code
+                                .column_of(level)
+                                .map_or(0.0, |col| fit.terms[col + 1].estimate),
+                        })
+                        .collect()
+                })
+                .collect()
+        });
         Self {
-            axis: at.axis.clone(),
-            n: at.n,
             r2: at.r_squared(),
             adj_r2: at.adj_r_squared(),
-            dims: at.dims.clone(),
+            axis: at.axis,
+            n: at.n,
+            dims: at.dims,
+            estimates,
+            interactions: interaction_scan(dm, y),
         }
+    }
+
+    /// The fitted estimate of `level` of coded dimension `coded_dim` (an
+    /// index into `dims`) — 0 for the baseline level — or `None` without
+    /// a fit or for a level absent from the surface. This is what the
+    /// dimension-flip navigator differences.
+    #[must_use]
+    pub fn level_estimate(&self, coded_dim: usize, level: usize) -> Option<f64> {
+        self.estimates
+            .as_ref()?
+            .get(coded_dim)?
+            .iter()
+            .find(|e| e.level == level)
+            .map(|e| e.estimate)
     }
 }
 
@@ -71,24 +150,18 @@ pub struct AttribTable {
 /// plain sweep.
 #[must_use]
 pub fn fingerprint(surface: &ResponseSurface) -> u64 {
+    fingerprint_under(SPEC_VERSION, surface)
+}
+
+/// The `attrib=` fingerprint of a surface under model specification
+/// `spec`.
+fn fingerprint_under(spec: &str, surface: &ResponseSurface) -> u64 {
     let axis_names: Vec<&str> = surface.axes.iter().map(|(n, _)| n.as_str()).collect();
     let canon = format!(
-        "{SPEC_VERSION}|response={}|axes={axis_names:?}|sources:\n{}",
+        "{spec}|response={}|axes={axis_names:?}|sources:\n{}",
         surface.response, surface.sources
     );
     fnv1a(canon.as_bytes()).max(1)
-}
-
-/// Runs the attribution of every axis of a surface over a prebuilt
-/// design matrix — the uncached core [`AttribTable::load_or_compute`]
-/// and the CLI's fit/navigate paths share.
-#[must_use]
-pub fn attribute_surface(dm: &DesignMatrix, surface: &ResponseSurface) -> Vec<AxisAttribution> {
-    surface
-        .axes
-        .iter()
-        .map(|(name, y)| attribute_axis(dm, name, y))
-        .collect()
 }
 
 impl AttribTable {
@@ -104,35 +177,33 @@ impl AttribTable {
         Self::cache_path(out_dir, &self.key.domain, &self.response, &self.key.scale)
     }
 
-    /// Builds the table from attributions already computed over the
-    /// surface — for callers that need the live fits anyway (interaction
-    /// scans, navigators) and must not pay for fitting twice.
-    #[must_use]
-    pub fn from_axes(surface: &ResponseSurface, axes: &[AxisAttribution]) -> Self {
-        Self {
-            key: surface.base.clone().with_attrib(fingerprint(surface)),
-            response: surface.response.clone(),
-            axes: axes.iter().map(AxisSummary::from).collect(),
-            from_cache: false,
-        }
-    }
-
-    /// Computes the table from a surface (no caching).
+    /// Computes the table from a surface (no caching): one design build,
+    /// then the fit, effect sizes and interaction scan of every axis.
     #[must_use]
     pub fn compute(domain: &dyn DynDomain, surface: &ResponseSurface, threads: usize) -> Self {
         let dm = DesignMatrix::build(domain.space(), &surface.rows, threads);
-        Self::from_axes(surface, &attribute_surface(&dm, surface))
+        Self {
+            key: surface.base.clone().with_attrib(fingerprint(surface)),
+            response: surface.response.clone(),
+            axes: surface
+                .axes
+                .iter()
+                .map(|(name, y)| AxisSummary::attribute(&dm, name, y))
+                .collect(),
+            from_cache: false,
+        }
     }
 
     /// Attempts to load a cached table matching `key`. Returns `Ok(None)`
     /// for every "recompute, don't trust" case: missing file, missing or
     /// mismatched stamp (any other fingerprint — a changed source sweep,
-    /// response set or model spec), or an empty body.
+    /// response set or model spec), or a body with no rows.
     ///
     /// # Errors
     ///
     /// Returns an error when the stamp matches but the body cannot be
-    /// parsed (corruption must surface, not be silently recomputed over).
+    /// parsed, a section included (corruption and truncation must
+    /// surface, not be silently recomputed over).
     pub fn load(key: &SweepKey, response: &str, out_dir: &Path) -> Result<Option<Self>, String> {
         let path = Self::cache_path(out_dir, &key.domain, response, &key.scale);
         let Some(body) = read_stamped(&path, key)? else {
@@ -152,12 +223,13 @@ impl AttribTable {
     }
 
     /// Loads the cached table for (domain, surface), or computes and
-    /// caches it.
+    /// caches it. Either way the table has one summary per surface axis,
+    /// in the surface's order.
     ///
     /// # Errors
     ///
-    /// Returns an error when a matching cache exists but is corrupt, or
-    /// the cache cannot be written.
+    /// Returns an error when a matching cache exists but is corrupt (its
+    /// axes not the surface's included), or the cache cannot be written.
     pub fn load_or_compute(
         domain: &dyn DynDomain,
         surface: &ResponseSurface,
@@ -166,6 +238,13 @@ impl AttribTable {
     ) -> Result<Self, String> {
         let key = surface.base.clone().with_attrib(fingerprint(surface));
         if let Some(cached) = Self::load(&key, &surface.response, out_dir)? {
+            let names = surface.axes.iter().map(|(name, _)| name);
+            if !cached.axes.iter().map(|a| &a.axis).eq(names) {
+                return Err(format!(
+                    "corrupt attribution cache {}: its axes are not the surface's",
+                    cached.path(out_dir).display()
+                ));
+            }
             return Ok(cached);
         }
         let table = Self::compute(domain, surface, threads);
@@ -185,15 +264,16 @@ impl AttribTable {
         Ok(path)
     }
 
-    /// The body CSV (no stamp line): one row per (axis, dimension).
-    /// `{}` on f64 prints the shortest representation that parses back
-    /// bit-identically (`NaN` round-trips as `NaN`), so cached and fresh
-    /// tables never diverge.
+    /// The body CSV (no stamp line): three sections, each under its own
+    /// header — one summary row per (axis, dimension), one estimate row
+    /// per (fitted axis, dimension, present level), one scan row per
+    /// (axis, dimension pair) in rank order. `{}` on f64 prints the
+    /// shortest representation that parses back bit-identically (`NaN`
+    /// and `inf` round-trip too), so cached and fresh tables never
+    /// diverge.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "axis,dimension,levels,eta_sq,partial_eta_sq,f_stat,p_value,r2,adj_r2,n\n",
-        );
+        let mut out = format!("{SUMMARY_HEADER}\n");
         for axis in &self.axes {
             for d in &axis.dims {
                 out.push_str(&format!(
@@ -211,46 +291,110 @@ impl AttribTable {
                 ));
             }
         }
+        out.push_str(ESTIMATE_HEADER);
+        out.push('\n');
+        for axis in &self.axes {
+            for (d, levels) in axis.dims.iter().zip(axis.estimates.iter().flatten()) {
+                for e in levels {
+                    out.push_str(&format!(
+                        "{},{},{},{}\n",
+                        quote_csv(&axis.axis),
+                        quote_csv(&d.name),
+                        e.level,
+                        e.estimate
+                    ));
+                }
+            }
+        }
+        out.push_str(SCAN_HEADER);
+        out.push('\n');
+        for axis in &self.axes {
+            for i in &axis.interactions {
+                out.push_str(&format!(
+                    "{},{},{},{},{},{},{}\n",
+                    quote_csv(&axis.axis),
+                    quote_csv(&i.dim_a),
+                    quote_csv(&i.dim_b),
+                    i.columns,
+                    i.delta_r2,
+                    i.f_stat,
+                    i.p_value
+                ));
+            }
+        }
         out
     }
 }
 
-/// Parses the body CSV back into axis summaries.
-fn parse_body(body: &str) -> Result<Vec<AxisSummary>, String> {
-    let mut lines = body.lines();
-    let header = lines.next().ok_or("empty body")?;
-    if header != "axis,dimension,levels,eta_sq,partial_eta_sq,f_stat,p_value,r2,adj_r2,n" {
-        return Err(format!("unexpected header: {header}"));
+/// One data row of a body section: its line number in the cache file
+/// (the stamp is line 1) and its fields.
+type Row = (usize, Vec<String>);
+
+/// Parses field `s` of the row on `line`, naming `what` on failure.
+fn parse_field<T: std::str::FromStr>(line: usize, s: &str, what: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    s.parse()
+        .map_err(|e| format!("line {line}: bad {what} '{s}': {e}"))
+}
+
+/// Checks that the row on `line` has `want` fields and belongs to `axis`.
+fn check_row(line: usize, fields: &[String], want: usize, axis: &str) -> Result<(), String> {
+    if fields.len() != want {
+        return Err(format!("line {line}: expected {want} fields"));
     }
-    let mut axes: Vec<AxisSummary> = Vec::new();
-    for (lineno, line) in lines.enumerate() {
+    if fields[0] != axis {
+        return Err(format!(
+            "line {line}: a row of axis '{}' where axis '{axis}' continues",
+            fields[0]
+        ));
+    }
+    Ok(())
+}
+
+/// Parses the body CSV back into axis summaries. Every section must be
+/// present and complete: a fitted axis (finite R²) needs its estimates,
+/// an estimated axis one row per present level of every dimension, and
+/// every axis one scan row per dimension pair.
+fn parse_body(body: &str) -> Result<Vec<AxisSummary>, String> {
+    let headers = [SUMMARY_HEADER, ESTIMATE_HEADER, SCAN_HEADER];
+    let mut sections: [Vec<Row>; 3] = Default::default();
+    let mut seen = 0;
+    for (i, line) in body.lines().enumerate() {
         if line.is_empty() {
             continue;
         }
-        let fields = split_csv(line);
-        if fields.len() != 10 {
-            return Err(format!("line {}: expected 10 fields", lineno + 2));
+        if seen < headers.len() && line == headers[seen] {
+            seen += 1;
+        } else if seen == 0 {
+            return Err(format!("unexpected header: {line}"));
+        } else {
+            sections[seen - 1].push((i + 2, split_csv(line)));
         }
-        let num = |s: &str, what: &str| {
-            s.parse::<f64>()
-                .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 2))
-        };
-        let int = |s: &str, what: &str| {
-            s.parse::<usize>()
-                .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 2))
-        };
+    }
+    if seen < headers.len() {
+        return Err(format!("missing section '{}'", headers[seen]));
+    }
+    let [summary, estimates, scan] = sections;
+
+    let mut axes: Vec<AxisSummary> = Vec::new();
+    for (line, fields) in summary {
+        if fields.len() != 10 {
+            return Err(format!("line {line}: expected 10 fields"));
+        }
         let effect = DimEffect {
             name: fields[1].clone(),
-            levels: int(&fields[2], "levels")?,
-            eta_sq: num(&fields[3], "eta_sq")?,
-            partial_eta_sq: num(&fields[4], "partial_eta_sq")?,
-            f_stat: num(&fields[5], "f_stat")?,
-            p_value: num(&fields[6], "p_value")?,
+            levels: parse_field(line, &fields[2], "levels")?,
+            eta_sq: parse_field(line, &fields[3], "eta_sq")?,
+            partial_eta_sq: parse_field(line, &fields[4], "partial_eta_sq")?,
+            f_stat: parse_field(line, &fields[5], "f_stat")?,
+            p_value: parse_field(line, &fields[6], "p_value")?,
         };
         let (r2, adj_r2, n) = (
-            num(&fields[7], "r2")?,
-            num(&fields[8], "adj_r2")?,
-            int(&fields[9], "n")?,
+            parse_field(line, &fields[7], "r2")?,
+            parse_field(line, &fields[8], "adj_r2")?,
+            parse_field(line, &fields[9], "n")?,
         );
         match axes.last_mut() {
             Some(last) if last.axis == fields[0] => last.dims.push(effect),
@@ -260,8 +404,68 @@ fn parse_body(body: &str) -> Result<Vec<AxisSummary>, String> {
                 r2,
                 adj_r2,
                 dims: vec![effect],
+                estimates: None,
+                interactions: Vec::new(),
             }),
         }
+    }
+
+    let mut estimates = estimates.into_iter().peekable();
+    for axis in &mut axes {
+        if estimates
+            .peek()
+            .is_some_and(|(_, fields)| fields.first() == Some(&axis.axis))
+        {
+            let mut per_dim = Vec::with_capacity(axis.dims.len());
+            for d in &axis.dims {
+                let mut levels = Vec::with_capacity(d.levels);
+                for _ in 0..d.levels {
+                    let (line, fields) = estimates.next().ok_or_else(|| {
+                        format!("estimates of {} / {} end early", axis.axis, d.name)
+                    })?;
+                    check_row(line, &fields, 4, &axis.axis)?;
+                    if fields[1] != d.name {
+                        return Err(format!(
+                            "line {line}: an estimate of '{}' where '{}' continues",
+                            fields[1], d.name
+                        ));
+                    }
+                    levels.push(LevelEstimate {
+                        level: parse_field(line, &fields[2], "level")?,
+                        estimate: parse_field(line, &fields[3], "estimate")?,
+                    });
+                }
+                per_dim.push(levels);
+            }
+            axis.estimates = Some(per_dim);
+        } else if axis.r2.is_finite() {
+            return Err(format!("axis {} has an R² but no estimates", axis.axis));
+        }
+    }
+    if let Some((line, _)) = estimates.next() {
+        return Err(format!("line {line}: an estimate past the listed axes"));
+    }
+
+    let mut scan = scan.into_iter();
+    for axis in &mut axes {
+        let k = axis.dims.len();
+        for _ in 0..k * k.saturating_sub(1) / 2 {
+            let (line, fields) = scan
+                .next()
+                .ok_or_else(|| format!("interaction scan of {} ends early", axis.axis))?;
+            check_row(line, &fields, 7, &axis.axis)?;
+            axis.interactions.push(InteractionEffect {
+                dim_a: fields[1].clone(),
+                dim_b: fields[2].clone(),
+                columns: parse_field(line, &fields[3], "columns")?,
+                delta_r2: parse_field(line, &fields[4], "delta_r2")?,
+                f_stat: parse_field(line, &fields[5], "f_stat")?,
+                p_value: parse_field(line, &fields[6], "p_value")?,
+            });
+        }
+    }
+    if let Some((line, _)) = scan.next() {
+        return Err(format!("line {line}: a scan row past the listed axes"));
     }
     Ok(axes)
 }
@@ -269,7 +473,36 @@ fn parse_body(body: &str) -> Result<Vec<AxisSummary>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsa_core::space::{DesignSpace, Dimension};
 
+    fn effect(name: &str, levels: usize, eta_sq: f64, partial: f64) -> DimEffect {
+        DimEffect {
+            name: name.into(),
+            levels,
+            eta_sq,
+            partial_eta_sq: partial,
+            f_stat: if partial.is_nan() { f64::NAN } else { 12.5 },
+            p_value: if partial.is_nan() { f64::NAN } else { 0.001 },
+        }
+    }
+
+    fn level(level: usize, estimate: f64) -> LevelEstimate {
+        LevelEstimate { level, estimate }
+    }
+
+    fn pair(a: &str, b: &str, delta_r2: f64, f_stat: f64, p_value: f64) -> InteractionEffect {
+        InteractionEffect {
+            dim_a: a.into(),
+            dim_b: b.into(),
+            columns: 2,
+            delta_r2,
+            f_stat,
+            p_value,
+        }
+    }
+
+    /// A fitted axis with NaN and infinite scan rows, and an axis with
+    /// no fit (so no estimates) whose scan is all NaN.
     fn fake() -> AttribTable {
         AttribTable {
             key: SweepKey {
@@ -291,22 +524,19 @@ mod tests {
                     r2: 0.91,
                     adj_r2: 0.89,
                     dims: vec![
-                        DimEffect {
-                            name: "A, with comma".into(),
-                            levels: 3,
-                            eta_sq: 0.5,
-                            partial_eta_sq: 0.75,
-                            f_stat: 12.5,
-                            p_value: 0.001,
-                        },
-                        DimEffect {
-                            name: "B".into(),
-                            levels: 2,
-                            eta_sq: 0.1,
-                            partial_eta_sq: f64::NAN,
-                            f_stat: f64::NAN,
-                            p_value: f64::NAN,
-                        },
+                        effect("A, with comma", 3, 0.5, 0.75),
+                        effect("B", 2, 0.1, f64::NAN),
+                        effect("C", 2, 1e-300, 0.0),
+                    ],
+                    estimates: Some(vec![
+                        vec![level(0, 0.0), level(1, -0.0), level(2, 0.1 + 0.2)],
+                        vec![level(0, 0.0), level(1, f64::MIN_POSITIVE)],
+                        vec![level(1, 0.0), level(3, -12.25)],
+                    ]),
+                    interactions: vec![
+                        pair("A, with comma", "B", 0.125, f64::INFINITY, 0.0),
+                        pair("B", "C", 1e-17, 3.5, 0.25),
+                        pair("A, with comma", "C", f64::NAN, f64::NAN, f64::NAN),
                     ],
                 },
                 AxisSummary {
@@ -314,32 +544,62 @@ mod tests {
                     n: 4,
                     r2: f64::NAN,
                     adj_r2: f64::NAN,
-                    dims: vec![DimEffect {
-                        name: "A, with comma".into(),
-                        levels: 3,
-                        eta_sq: 0.25,
-                        partial_eta_sq: f64::NAN,
-                        f_stat: f64::NAN,
-                        p_value: f64::NAN,
-                    }],
+                    dims: vec![
+                        effect("A, with comma", 3, 0.25, f64::NAN),
+                        effect("B", 2, 0.0, f64::NAN),
+                    ],
+                    estimates: None,
+                    interactions: vec![pair(
+                        "A, with comma",
+                        "B",
+                        f64::NAN,
+                        f64::NEG_INFINITY,
+                        f64::NAN,
+                    )],
                 },
             ],
             from_cache: false,
         }
     }
 
+    /// Every f64 of a summary as bits, NaNs folded to one pattern.
+    fn bits(axes: &[AxisSummary]) -> Vec<u64> {
+        let b = |x: f64| if x.is_nan() { u64::MAX } else { x.to_bits() };
+        let mut out = Vec::new();
+        for a in axes {
+            out.extend([b(a.r2), b(a.adj_r2)]);
+            for d in &a.dims {
+                out.extend([b(d.eta_sq), b(d.partial_eta_sq), b(d.f_stat), b(d.p_value)]);
+            }
+            for e in a.estimates.iter().flatten().flatten() {
+                out.extend([e.level as u64, b(e.estimate)]);
+            }
+            for i in &a.interactions {
+                out.extend([b(i.delta_r2), b(i.f_stat), b(i.p_value)]);
+            }
+        }
+        out
+    }
+
     #[test]
-    fn csv_body_roundtrips_including_nans() {
+    fn csv_body_roundtrips_including_nans_infs_and_unfitted_axes() {
         let t = fake();
         let parsed = parse_body(&t.to_csv()).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].axis, "performance");
-        assert_eq!(parsed[0].dims.len(), 2);
+        assert_eq!(parsed[0].dims.len(), 3);
         assert_eq!(parsed[0].dims[0].name, "A, with comma");
         assert_eq!(parsed[0].dims[0].partial_eta_sq, 0.75);
         assert!(parsed[0].dims[1].partial_eta_sq.is_nan());
+        assert_eq!(parsed[0].estimates, t.axes[0].estimates);
+        assert_eq!(parsed[0].level_estimate(1, 1), Some(f64::MIN_POSITIVE));
+        assert_eq!(parsed[0].interactions[0].f_stat, f64::INFINITY);
+        assert!(parsed[0].interactions[2].delta_r2.is_nan());
         assert!(parsed[1].r2.is_nan());
         assert_eq!(parsed[1].n, 4);
+        assert!(parsed[1].estimates.is_none());
+        assert_eq!(parsed[1].interactions[0].f_stat, f64::NEG_INFINITY);
+        assert_eq!(bits(&parsed), bits(&t.axes));
         // A re-serialized parse is byte-identical.
         let round = AttribTable {
             axes: parsed,
@@ -352,10 +612,52 @@ mod tests {
     fn parse_body_rejects_garbage() {
         assert!(parse_body("").is_err());
         assert!(parse_body("wrong,header\n").is_err());
-        let header = "axis,dimension,levels,eta_sq,partial_eta_sq,f_stat,p_value,r2,adj_r2,n\n";
-        assert!(parse_body(&format!("{header}a,b,2,0.5\n")).is_err());
-        assert!(parse_body(&format!("{header}a,b,x,0.5,0.5,1,0.1,0.9,0.9,4\n")).is_err());
-        assert!(parse_body(&format!("{header}a,b,2,zz,0.5,1,0.1,0.9,0.9,4\n")).is_err());
+        let tail = format!("{ESTIMATE_HEADER}\n{SCAN_HEADER}\n");
+        let body = |row: &str| format!("{SUMMARY_HEADER}\n{row}\n{tail}");
+        assert!(parse_body(&body("a,b,2,NaN,NaN,NaN,NaN,NaN,NaN,4")).is_ok());
+        assert!(parse_body(&body("a,b,2,0.5")).is_err());
+        assert!(parse_body(&body("a,b,x,0.5,0.5,1,0.1,0.9,0.9,4")).is_err());
+        assert!(parse_body(&body("a,b,2,zz,0.5,1,0.1,0.9,0.9,4")).is_err());
+        // A summary alone is a version 1 body: not a table any more.
+        assert!(parse_body(&format!(
+            "{SUMMARY_HEADER}\na,b,2,0.5,0.5,1,0.1,0.9,0.9,4\n"
+        ))
+        .is_err());
+    }
+
+    /// Drops the body lines `drop` selects (0-based, stamp excluded).
+    fn without_lines(body: &str, drop: impl Fn(usize, &str) -> bool) -> String {
+        body.lines()
+            .enumerate()
+            .filter(|&(i, l)| !drop(i, l))
+            .map(|(_, l)| format!("{l}\n"))
+            .collect()
+    }
+
+    #[test]
+    fn truncated_estimate_or_scan_sections_are_errors() {
+        let body = fake().to_csv();
+        let line_of = |prefix: &str| body.lines().position(|l| l == prefix).unwrap();
+        let (est, scan) = (line_of(ESTIMATE_HEADER), line_of(SCAN_HEADER));
+        let last = body.lines().count() - 1;
+        // The last estimate row, one inside the section, all estimate
+        // rows, the last scan row, the whole scan section, and the file
+        // cut before the estimates.
+        let cases: Vec<String> = vec![
+            without_lines(&body, |i, _| i == scan - 1),
+            without_lines(&body, |i, _| i == est + 2),
+            without_lines(&body, |i, _| i > est && i < scan),
+            without_lines(&body, |i, _| i == last),
+            without_lines(&body, |i, _| i >= scan),
+            without_lines(&body, |i, _| i >= est),
+        ];
+        for (c, cut) in cases.iter().enumerate() {
+            assert!(parse_body(cut).is_err(), "case {c} parsed:\n{cut}");
+        }
+        // An extra row is as wrong as a missing one.
+        let extra = format!("{body}robustness,B,A,1,0,0,1\n");
+        assert!(parse_body(&extra).is_err());
+        assert!(parse_body(&body).is_ok());
     }
 
     #[test]
@@ -365,5 +667,111 @@ mod tests {
             t.path(Path::new("results")),
             PathBuf::from("results/attrib-toy-pra-smoke.csv")
         );
+    }
+
+    /// 3 × 2 × 2 factorial with a planted additive A and B effect plus an
+    /// A×B interaction.
+    fn planted() -> (DesignMatrix, Vec<f64>) {
+        let s = DesignSpace::new(
+            "planted",
+            vec![
+                Dimension::new("A", vec!["a0".into(), "a1".into(), "a2".into()]),
+                Dimension::new("B", vec!["b0".into(), "b1".into()]),
+                Dimension::new("C", vec!["c0".into(), "c1".into()]),
+            ],
+        );
+        let rows: Vec<usize> = s.indices().collect();
+        let dm = DesignMatrix::build(&s, &rows, 1);
+        let y = rows
+            .iter()
+            .map(|&i| {
+                let c = s.coords(i);
+                let noise = ((i * 37 % 11) as f64 - 5.0) / 200.0;
+                10.0 * c[0] as f64 + 1.0 * c[1] as f64 + 2.0 * (c[0] as f64 * c[1] as f64) + noise
+            })
+            .collect();
+        (dm, y)
+    }
+
+    #[test]
+    fn level_estimate_reads_the_fit() {
+        let (dm, y) = planted();
+        let at = AxisSummary::attribute(&dm, "perf", &y);
+        // Baseline level estimate is zero by construction.
+        assert_eq!(at.level_estimate(0, 0), Some(0.0));
+        // A=a2 vs A=a1 differ by ~10 (plus half the interaction mass).
+        let a1 = at.level_estimate(0, 1).unwrap();
+        let a2 = at.level_estimate(0, 2).unwrap();
+        assert!(a2 > a1 + 5.0, "a1 {a1} a2 {a2}");
+        assert_eq!(at.interactions.len(), 3);
+        assert_eq!(at.interactions[0].dim_a, "A");
+        // Absent level on a collapsed subset → None; no fit → None.
+        let s = DesignSpace::new(
+            "s",
+            vec![Dimension::new(
+                "A",
+                vec!["a0".into(), "a1".into(), "a2".into()],
+            )],
+        );
+        let sub = DesignMatrix::build(&s, &[1, 2, 1, 2], 1);
+        let sub_at = AxisSummary::attribute(&sub, "x", &[1.0, 2.0, 1.5, 2.5]);
+        assert!(sub_at.estimates.is_some());
+        assert!(sub_at.level_estimate(0, 0).is_none());
+        assert_eq!(sub_at.level_estimate(0, 1), Some(0.0));
+        let tiny = DesignMatrix::build(&s, &[1, 2], 1);
+        let tiny_at = AxisSummary::attribute(&tiny, "x", &[1.0, 2.0]);
+        assert!(tiny_at.estimates.is_none());
+        assert!(tiny_at.level_estimate(0, 1).is_none());
+    }
+
+    #[test]
+    fn v1_stamped_tables_are_recomputed_and_overwritten() {
+        const V1: &str = "attrib v1 dummy-main-effects oneway-eta partial-eta nested-F";
+        let dir = std::env::temp_dir().join(format!("dsa-attrib-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let domain = dsa_gossip::adapter::register();
+        let rows: Vec<usize> = (0..domain.size()).collect();
+        let y: Vec<f64> = rows.iter().map(|&i| (i * 7 % 13) as f64).collect();
+        let surface = ResponseSurface {
+            response: "pra".into(),
+            rows,
+            axes: vec![("performance".into(), y)],
+            base: SweepKey {
+                domain: "gossip".into(),
+                space_hash: 0xABC,
+                scale: "smoke".into(),
+                params: 0x123,
+                seed: 7,
+                len: domain.size(),
+                attack: 0,
+                evo: 0,
+                attrib: 0,
+            },
+            sources: "# dsa-sweep v1 domain=gossip".into(),
+            from_cache: true,
+        };
+        // A version 1 table: the summary section only, under the v1
+        // fingerprint. Parsed as version 2 it would be an error.
+        let v1_key = surface
+            .base
+            .clone()
+            .with_attrib(fingerprint_under(V1, &surface));
+        assert_ne!(v1_key.attrib, fingerprint(&surface));
+        let path = AttribTable::cache_path(&dir, "gossip", "pra", "smoke");
+        let v1_body = format!("{SUMMARY_HEADER}\nperformance,A,2,0.5,0.5,1,0.1,0.9,0.9,4\n");
+        write_stamped(&path, &v1_key, &v1_body).unwrap();
+        assert!(parse_body(&v1_body).is_err());
+
+        let table = AttribTable::load_or_compute(&*domain, &surface, 1, &dir).expect("recomputed");
+        assert!(!table.from_cache);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text,
+            format!("{}\n{}", table.key.meta_line(), table.to_csv())
+        );
+        let again = AttribTable::load_or_compute(&*domain, &surface, 1, &dir).expect("cached");
+        assert!(again.from_cache);
+        assert_eq!(again.to_csv(), table.to_csv());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

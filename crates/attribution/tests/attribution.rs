@@ -2,11 +2,12 @@
 //! (gossip — small enough to sweep inside a test) and its stamped cache.
 
 use dsa_attribution::{
-    attribute_axis, attribute_surface, evolution_surface, fingerprint, interaction_scan, navigate,
-    pra_surface, AttribTable, DesignMatrix, ResponseKind,
+    attribute_axis, evolution_surface, fingerprint, interaction_scan, navigate, pra_surface,
+    AttribTable, AxisSummary, DesignMatrix, FlipSuggestion, InteractionEffect, ResponseKind,
+    ResponseSurface,
 };
-use dsa_core::cache::read_stamped;
-use dsa_core::domain::Effort;
+use dsa_core::cache::{read_stamped, SweepKey};
+use dsa_core::domain::{DynDomain, Effort};
 use dsa_core::pra::PraConfig;
 use dsa_core::space::DesignSpace;
 use dsa_core::tournament::OpponentSampling;
@@ -68,15 +69,14 @@ fn pra_attribution_end_to_end_with_cache_and_navigator() {
         }
     }
 
-    // The navigator proposes flips from a preset and verifies them
-    // against the true sweep values (full-space surface: no NaNs).
-    let dm = DesignMatrix::build(domain.space(), &surface.rows, 0);
-    let axes = attribute_surface(&dm, &surface);
-    let (perf, rob) = (&axes[0], &axes[1]);
+    // The navigator proposes flips from a preset off the cached table and
+    // verifies them against the true sweep values (full-space surface: no
+    // NaNs).
+    let (perf, rob) = (&cached.axes[0], &cached.axes[1]);
     let start = domain.parse("lazy").expect("preset");
     let out = navigate(
         domain.space(),
-        &dm,
+        &surface.rows,
         perf,
         Some(rob),
         &surface.axes[0].1,
@@ -92,6 +92,186 @@ fn pra_attribution_end_to_end_with_cache_and_navigator() {
         assert_ne!(f.index, start);
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Folds every NaN to one bit pattern: a parsed `NaN` and a computed one
+/// may differ in sign, and both print as `NaN`.
+fn bits(x: f64) -> u64 {
+    if x.is_nan() {
+        u64::MAX
+    } else {
+        x.to_bits()
+    }
+}
+
+fn scan_bits(scan: &[InteractionEffect]) -> Vec<(String, String, usize, [u64; 3])> {
+    scan.iter()
+        .map(|i| {
+            (
+                i.dim_a.clone(),
+                i.dim_b.clone(),
+                i.columns,
+                [bits(i.delta_r2), bits(i.f_stat), bits(i.p_value)],
+            )
+        })
+        .collect()
+}
+
+fn flip_bits(flips: &[FlipSuggestion]) -> Vec<(usize, String, String, String, [u64; 4])> {
+    flips
+        .iter()
+        .map(|f| {
+            (
+                f.index,
+                f.dim.clone(),
+                f.from_level.clone(),
+                f.to_level.clone(),
+                [
+                    bits(f.predicted_improve),
+                    bits(f.predicted_guard),
+                    bits(f.actual_improve),
+                    bits(f.actual_guard),
+                ],
+            )
+        })
+        .collect()
+}
+
+/// A whole-space surface with two structured axes (additive effects, one
+/// interaction, deterministic noise) and a constant one (a fit whose R²
+/// is `NaN`), keyed without any sweep.
+fn synthetic_surface(domain: &dyn DynDomain) -> ResponseSurface {
+    let space = domain.space();
+    let rows: Vec<usize> = space.indices().collect();
+    let axis = |f: &dyn Fn(&[usize], f64) -> f64| -> Vec<f64> {
+        rows.iter()
+            .map(|&i| f(&space.coords(i), ((i * 37 % 11) as f64 - 5.0) / 100.0))
+            .collect()
+    };
+    let performance = axis(&|c, noise| {
+        let additive: f64 = c
+            .iter()
+            .enumerate()
+            .map(|(d, &l)| 0.1 * (d + 1) as f64 * l as f64)
+            .sum();
+        additive + 0.05 * (c[0] * c[1]) as f64 + noise
+    });
+    let robustness =
+        axis(&|c, noise| 1.0 - 0.2 * c[c.len() - 1] as f64 + 0.03 * (c[1] * c[2]) as f64 - noise);
+    ResponseSurface {
+        response: "pra".into(),
+        axes: vec![
+            ("performance".into(), performance),
+            ("robustness".into(), robustness),
+            ("flat".into(), vec![0.5; rows.len()]),
+        ],
+        base: SweepKey {
+            domain: domain.name().into(),
+            space_hash: 1,
+            scale: "synthetic".into(),
+            params: 2,
+            seed: 3,
+            len: rows.len(),
+            attack: 0,
+            evo: 0,
+            attrib: 0,
+        },
+        sources: format!("synthetic {}", domain.name()),
+        from_cache: true,
+        rows,
+    }
+}
+
+/// Every number a reloaded table serves — effect sizes, estimates, scans
+/// and navigator suggestions — equals the live fit, scan and navigator
+/// bit for bit.
+fn assert_table_serves_live_results(domain: &dyn DynDomain, tag: &str) {
+    let dir = temp_dir(tag);
+    let surface = synthetic_surface(domain);
+    let fresh = AttribTable::load_or_compute(domain, &surface, 0, &dir).expect("fresh");
+    assert!(!fresh.from_cache);
+    let cached = AttribTable::load_or_compute(domain, &surface, 0, &dir).expect("cached");
+    assert!(cached.from_cache);
+    assert_eq!(cached.to_csv(), fresh.to_csv());
+
+    let dm = DesignMatrix::build(domain.space(), &surface.rows, 1);
+    assert_eq!(cached.axes.len(), surface.axes.len());
+    for ((name, y), axis) in surface.axes.iter().zip(&cached.axes) {
+        assert_eq!(&axis.axis, name);
+        let at = attribute_axis(&dm, name, y);
+        assert_eq!(axis.n, at.n);
+        assert_eq!(bits(axis.r2), bits(at.r_squared()), "{name}");
+        assert_eq!(bits(axis.adj_r2), bits(at.adj_r_squared()), "{name}");
+        assert_eq!(axis.dims.len(), at.dims.len());
+        for (d, live) in axis.dims.iter().zip(&at.dims) {
+            assert_eq!((&d.name, d.levels), (&live.name, live.levels));
+            let effect = |e: &dsa_attribution::DimEffect| {
+                [e.eta_sq, e.partial_eta_sq, e.f_stat, e.p_value].map(bits)
+            };
+            assert_eq!(effect(d), effect(live), "{name} {}", d.name);
+        }
+        let fit = at.fit.as_ref().expect("a full-space fit");
+        let estimates = axis.estimates.as_ref().expect("cached estimates");
+        for (k, code) in dm.dims.iter().enumerate() {
+            let levels: Vec<usize> = estimates[k].iter().map(|e| e.level).collect();
+            assert_eq!(levels, code.levels);
+            for &level in &code.levels {
+                // terms[0] is the intercept; column j is term j + 1.
+                let live = code
+                    .column_of(level)
+                    .map_or(0.0, |col| fit.terms[col + 1].estimate);
+                let served = axis.level_estimate(k, level).expect("present level");
+                assert_eq!(
+                    served.to_bits(),
+                    live.to_bits(),
+                    "{name} {} {level}",
+                    code.name
+                );
+            }
+        }
+        assert_eq!(
+            scan_bits(&axis.interactions),
+            scan_bits(&interaction_scan(&dm, y)),
+            "{name}"
+        );
+    }
+    assert!(cached.axes[2].r2.is_nan() && cached.axes[2].estimates.is_some());
+
+    // The navigator over the reloaded table and over the fresh one.
+    let mut suggested = 0;
+    let pairs: [(usize, Option<usize>); 4] = [(0, Some(1)), (1, Some(0)), (0, None), (1, Some(2))];
+    for start in domain.space().indices() {
+        for &(i, g) in &pairs {
+            let run = |axes: &[AxisSummary]| {
+                navigate(
+                    domain.space(),
+                    &surface.rows,
+                    &axes[i],
+                    g.map(|g| &axes[g]),
+                    &surface.axes[i].1,
+                    g.map(|g| surface.axes[g].1.as_slice()),
+                    start,
+                    0.05,
+                    usize::MAX,
+                )
+            };
+            let served = run(&cached.axes);
+            assert_eq!(flip_bits(&served), flip_bits(&run(&fresh.axes)));
+            suggested += served.len();
+        }
+    }
+    assert!(suggested > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reloaded_gossip_table_equals_the_live_fits_bit_for_bit() {
+    assert_table_serves_live_results(&*dsa_gossip::adapter::register(), "live-gossip");
+}
+
+#[test]
+fn reloaded_rep_table_equals_the_live_fits_bit_for_bit() {
+    assert_table_serves_live_results(&*dsa_reputation::adapter::register(), "live-rep");
 }
 
 #[test]
@@ -132,8 +312,18 @@ fn changed_source_stamp_or_spec_self_invalidates() {
     let sweep_path = plain.cache_path(&dir);
     assert!(read_stamped(&sweep_path, &table.key).unwrap().is_none());
 
-    // A corrupt body under a matching stamp is a hard error.
+    // A well-formed table under a matching stamp that lost an axis is
+    // not this surface's table.
     let path = table.path(&dir);
+    let mut short = table.clone();
+    short.axes.pop();
+    short.store(&dir).unwrap();
+    assert!(AttribTable::load(&table.key, "pra", &dir)
+        .unwrap()
+        .is_some());
+    assert!(AttribTable::load_or_compute(&*domain, &surface, 0, &dir).is_err());
+
+    // A corrupt body under a matching stamp is a hard error.
     let text = std::fs::read_to_string(&path).unwrap();
     let stamp = text.split_once('\n').unwrap().0;
     std::fs::write(

@@ -4,17 +4,19 @@
 //!
 //! For each requested response (`pra`, `attack`, `evolution`) and each
 //! registered domain, loads the underlying sweeps through their stamped
-//! caches, fits the per-axis attribution (`dsa-attribution`), renders
-//! ASCII effect-size bars per dimension, the top pairwise interactions,
-//! and one dimension-flip navigator demonstration per domain — then a
-//! cross-domain "which dimension matters where" comparison and a summary
-//! CSV at `results/attribution-<scale>.csv`. Derived tables cache at
-//! `results/attrib-<domain>-<response>-<scale>.csv`.
+//! caches and the domain's attribution table
+//! (`results/attrib-<domain>-<response>-<scale>.csv`, computed by
+//! `dsa-attribution` only when it misses), then renders from that table
+//! alone: ASCII effect-size bars per dimension, the top pairwise
+//! interactions, and one dimension-flip navigator demonstration per
+//! domain — then a cross-domain "which dimension matters where"
+//! comparison and a summary CSV at `results/attribution-<scale>.csv`. A
+//! warm pass fits nothing.
 
 use crate::scale::Scale;
 use dsa_attribution::{
-    attack_surface, evolution_surface, interaction_scan, navigate, pra_surface, AttribTable,
-    DesignMatrix, ResponseKind, ResponseSurface,
+    attack_surface, evolution_surface, navigate, pra_surface, AttribTable, ResponseKind,
+    ResponseSurface,
 };
 use dsa_core::domain::DynDomain;
 use dsa_stats::ascii;
@@ -157,125 +159,10 @@ pub fn attribution(
         let _ = writeln!(out, "\n==== response: {} ====", kind.name());
         let mut comparison = String::new();
         for domain in &domains {
-            let surface = build_surface(&**domain, kind, scale, out_dir)?;
-            // The interaction map and navigator need the live fits, so
-            // compute them once up front and derive the cached summary
-            // table from the same attributions (the stamped cache still
-            // short-circuits the summary when warm).
-            let dm = DesignMatrix::build(domain.space(), &surface.rows, scale.pra.threads);
-            let axes = dsa_attribution::attribute_surface(&dm, &surface);
-            let key = surface
-                .base
-                .clone()
-                .with_attrib(dsa_attribution::fingerprint(&surface));
-            let table = match AttribTable::load(&key, &surface.response, out_dir)? {
-                Some(cached) => cached,
-                None => {
-                    let fresh = AttribTable::from_axes(&surface, &axes);
-                    fresh.store(out_dir)?;
-                    fresh
-                }
-            };
-            let _ = writeln!(
-                out,
-                "\n-- {} ({} rows over {} protocols; sources {}, table {}: {}) --",
-                domain.name(),
-                surface.rows.len(),
-                domain.size(),
-                if surface.from_cache {
-                    "from cache"
-                } else {
-                    "computed"
-                },
-                if table.from_cache {
-                    "from cache"
-                } else {
-                    "computed"
-                },
-                table.path(out_dir).display()
-            );
-            out.push_str(&render_table(&table));
-
-            for axis in &table.axes {
-                for d in &axis.dims {
-                    let _ = writeln!(
-                        csv,
-                        "{},{},{},{},{},{},{},{},{},{},{},{}",
-                        kind.name(),
-                        domain.name(),
-                        dsa_core::results::quote_csv(&axis.axis),
-                        dsa_core::results::quote_csv(&d.name),
-                        d.levels,
-                        d.eta_sq,
-                        d.partial_eta_sq,
-                        d.f_stat,
-                        d.p_value,
-                        axis.r2,
-                        axis.adj_r2,
-                        axis.n
-                    );
-                }
-            }
-
-            // Cross-domain comparison line: dimensions ranked by effect
-            // on the first axis of this response.
-            if let Some(axis) = table.axes.first() {
-                let mut ranked: Vec<(&str, f64)> = axis
-                    .dims
-                    .iter()
-                    .map(|d| (d.name.as_str(), effect_size(d)))
-                    .collect();
-                ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-                let _ = writeln!(
-                    comparison,
-                    "{:<8} ({}): {}",
-                    domain.name(),
-                    axis.axis,
-                    ranked
-                        .iter()
-                        .map(|(n, e)| format!("{n} {e:.2}"))
-                        .collect::<Vec<_>>()
-                        .join(" > ")
-                );
-            }
-
-            if let Some(first) = axes.iter().find(|a| a.fit.is_some()) {
-                let y = &surface
-                    .axes
-                    .iter()
-                    .find(|(n, _)| *n == first.axis)
-                    .expect("axis present")
-                    .1;
-                let scan = interaction_scan(&dm, y);
-                let top: Vec<String> = scan
-                    .iter()
-                    .take(3)
-                    .filter(|i| i.delta_r2.is_finite())
-                    .map(|i| {
-                        format!(
-                            "{}×{} ΔR²={:.3} (F={:.1}{})",
-                            i.dim_a,
-                            i.dim_b,
-                            i.delta_r2,
-                            i.f_stat,
-                            if i.p_value < 0.001 { ", p<0.001" } else { "" }
-                        )
-                    })
-                    .collect();
-                if !top.is_empty() {
-                    let _ = writeln!(
-                        out,
-                        "   top interactions ({}): {}",
-                        first.axis,
-                        top.join("; ")
-                    );
-                }
-            }
-            if kind == ResponseKind::Pra {
-                if let Some((_, start)) = domain.presets().first() {
-                    out.push_str(&navigator_demo(&**domain, &dm, &axes, &surface, *start));
-                }
-            }
+            let part = domain_attribution(&**domain, kind, scale, out_dir)?;
+            out.push_str(&part.text);
+            csv.push_str(&part.csv);
+            comparison.push_str(&part.comparison);
         }
         let _ = writeln!(
             out,
@@ -298,21 +185,143 @@ pub fn attribution(
     Ok(out)
 }
 
+/// One domain's share of the attribution experiment for one response.
+#[derive(Debug)]
+pub struct DomainAttribution {
+    /// The rendered section: provenance line, effect-size bars, top
+    /// interactions and (for the PRA response) the navigator line.
+    pub text: String,
+    /// The domain's rows of `attribution-<scale>.csv` (no header).
+    pub csv: String,
+    /// The domain's line of the cross-domain comparison.
+    pub comparison: String,
+}
+
+/// Loads (or, on a miss, computes and caches) one domain's attribution
+/// table for response `kind` and renders its section from the table
+/// alone.
+///
+/// # Errors
+///
+/// Returns an error when a sweep or attribution cache is corrupt or
+/// unwritable.
+pub fn domain_attribution(
+    domain: &dyn DynDomain,
+    kind: ResponseKind,
+    scale: &Scale,
+    out_dir: &Path,
+) -> Result<DomainAttribution, String> {
+    let surface = build_surface(domain, kind, scale, out_dir)?;
+    let table = AttribTable::load_or_compute(domain, &surface, scale.pra.threads, out_dir)?;
+    let provenance = |cached: bool| if cached { "from cache" } else { "computed" };
+    let mut text = format!(
+        "\n-- {} ({} rows over {} protocols; sources {}, table {}: {}) --\n",
+        domain.name(),
+        surface.rows.len(),
+        domain.size(),
+        provenance(surface.from_cache),
+        provenance(table.from_cache),
+        table.path(out_dir).display()
+    );
+    text.push_str(&render_table(&table));
+
+    let mut csv = String::new();
+    for axis in &table.axes {
+        for d in &axis.dims {
+            let _ = writeln!(
+                csv,
+                "{},{},{},{},{},{},{},{},{},{},{},{}",
+                kind.name(),
+                domain.name(),
+                dsa_core::results::quote_csv(&axis.axis),
+                dsa_core::results::quote_csv(&d.name),
+                d.levels,
+                d.eta_sq,
+                d.partial_eta_sq,
+                d.f_stat,
+                d.p_value,
+                axis.r2,
+                axis.adj_r2,
+                axis.n
+            );
+        }
+    }
+
+    // Cross-domain comparison line: dimensions ranked by effect on the
+    // first axis of this response.
+    let mut comparison = String::new();
+    if let Some(axis) = table.axes.first() {
+        let mut ranked: Vec<(&str, f64)> = axis
+            .dims
+            .iter()
+            .map(|d| (d.name.as_str(), effect_size(d)))
+            .collect();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let _ = writeln!(
+            comparison,
+            "{:<8} ({}): {}",
+            domain.name(),
+            axis.axis,
+            ranked
+                .iter()
+                .map(|(n, e)| format!("{n} {e:.2}"))
+                .collect::<Vec<_>>()
+                .join(" > ")
+        );
+    }
+
+    if let Some(first) = table.axes.iter().find(|a| a.estimates.is_some()) {
+        let top: Vec<String> = first
+            .interactions
+            .iter()
+            .take(3)
+            .filter(|i| i.delta_r2.is_finite())
+            .map(|i| {
+                format!(
+                    "{}×{} ΔR²={:.3} (F={:.1}{})",
+                    i.dim_a,
+                    i.dim_b,
+                    i.delta_r2,
+                    i.f_stat,
+                    if i.p_value < 0.001 { ", p<0.001" } else { "" }
+                )
+            })
+            .collect();
+        if !top.is_empty() {
+            let _ = writeln!(
+                text,
+                "   top interactions ({}): {}",
+                first.axis,
+                top.join("; ")
+            );
+        }
+    }
+    if kind == ResponseKind::Pra {
+        if let Some((_, start)) = domain.presets().first() {
+            text.push_str(&navigator_demo(domain, &table, &surface, *start));
+        }
+    }
+    Ok(DomainAttribution {
+        text,
+        csv,
+        comparison,
+    })
+}
+
 /// One navigator demonstration: the best verified flip improving the
 /// first axis while guarding the second, from the domain's first preset.
 fn navigator_demo(
     domain: &dyn DynDomain,
-    dm: &DesignMatrix,
-    axes: &[dsa_attribution::AxisAttribution],
+    table: &AttribTable,
     surface: &ResponseSurface,
     start: usize,
 ) -> String {
-    let (Some(improve), guard) = (axes.first(), axes.get(1)) else {
+    let (Some(improve), guard) = (table.axes.first(), table.axes.get(1)) else {
         return String::new();
     };
     let suggestions = navigate(
         domain.space(),
-        dm,
+        &surface.rows,
         improve,
         guard,
         &surface.axes[0].1,
@@ -358,23 +367,46 @@ mod tests {
 
     /// The full experiment at smoke scale would sweep the swarm space;
     /// exercise the per-domain pipeline against gossip alone instead.
+    /// Rendered cold and then warm, the section differs only in its
+    /// provenance; the warm render reads every number from the table.
     #[test]
-    fn gossip_attribution_surface_builds_and_caches() {
+    fn gossip_renders_alike_cold_and_warm_from_the_table() {
         let _guard = crate::test_lock::cache();
         let dir = std::env::temp_dir().join(format!("dsa-attribfig-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let scale = Scale::smoke();
         let domain = dsa_gossip::adapter::register();
-        let surface = build_surface(&*domain, ResponseKind::Pra, &scale, &dir).expect("surface");
-        assert_eq!(surface.axes.len(), 3);
-        let table = AttribTable::load_or_compute(&*domain, &surface, 0, &dir).expect("table");
-        assert!(dir.join("attrib-gossip-pra-smoke.csv").exists());
-        let rendered = render_table(&table);
-        assert!(rendered.contains("adj.R2"));
-        assert!(rendered.contains("Selection"));
-        // Reload hits the cache.
-        let again = AttribTable::load_or_compute(&*domain, &surface, 0, &dir).expect("cached");
-        assert!(again.from_cache);
+        let cold = domain_attribution(&*domain, ResponseKind::Pra, &scale, &dir).expect("cold");
+        let path = dir.join("attrib-gossip-pra-smoke.csv");
+        assert!(path.exists());
+        assert!(cold.text.contains("table computed"), "{}", cold.text);
+        assert!(cold.text.contains("adj.R2"));
+        assert!(cold.text.contains("Selection"));
+        assert!(cold.text.contains("top interactions (performance)"));
+        assert!(cold.text.contains("navigator: from "));
+        let warm = domain_attribution(&*domain, ResponseKind::Pra, &scale, &dir).expect("warm");
+        assert!(warm.text.contains("sources from cache, table from cache"));
+        assert_eq!(warm.text, cold.text.replace("computed", "from cache"));
+        assert_eq!(warm.csv, cold.csv);
+        assert_eq!(warm.comparison, cold.comparison);
+
+        // Plant a ΔR² in the first scan row (the top pair of the first
+        // axis) under the still-valid stamp: the warm render prints it.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        let row = 1 + lines
+            .iter()
+            .position(|l| l == "axis,dim_a,dim_b,columns,delta_r2,f_stat,p_value")
+            .expect("scan section");
+        let mut fields = dsa_core::results::split_csv(&lines[row]);
+        assert_eq!(fields[0], "performance");
+        fields[4] = "0.987654".into();
+        lines[row] = fields.join(",");
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        assert!(!cold.text.contains("ΔR²=0.988"));
+        let planted = domain_attribution(&*domain, ResponseKind::Pra, &scale, &dir).expect("warm");
+        assert!(planted.text.contains("table from cache"));
+        assert!(planted.text.contains("ΔR²=0.988"), "{}", planted.text);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -80,6 +80,11 @@
 //! set (default: the domain's presets + canonical attackers): the
 //! empirical payoff cross-table, the replicator trajectory from the
 //! uniform mixture, and the ESS / basin / fixation classification.
+//! `attribute` (`dsa-attribution`) renders `fit`, `interactions` and
+//! `navigate` from one stamped table per (domain, response, scale),
+//! `<out>/attrib-<domain>-<response>-<scale>.csv`, fitted only when it
+//! misses. `navigate` rejects a negative or non-finite `--tolerance`, and
+//! `interactions` and `navigate` reject `--top 0`.
 //!
 //! Presets: swarm has bittorrent, birds, loyal, sorts, random,
 //! freerider; gossip has random-push, reciprocal, lazy, silent; rep has
@@ -893,24 +898,27 @@ fn cmd_attribute_interactions(domain: &dyn DynDomain, args: &[String]) -> Result
     let mut allowed = ATTRIBUTE_FLAGS.to_vec();
     allowed.push("top");
     check_flags(&flags, &allowed)?;
-    let top = flag(&flags, "top", 5usize)?.max(1);
+    let top = top_flag(&flags)?;
     let (scale, response, out) = attribute_setup(&flags)?;
     let surface = dsa_bench::attribfig::build_surface(domain, response, &scale, &out)?;
-    let dm = dsa_attribution::DesignMatrix::build(domain.space(), &surface.rows, scale.pra.threads);
+    let table =
+        dsa_attribution::AttribTable::load_or_compute(domain, &surface, scale.pra.threads, &out)?;
     println!(
         "pairwise interaction scan of the {} {} surface (scale {}, ranked by incremental R²)",
         domain.name(),
         surface.response,
         scale.name
     );
-    for (axis, y) in &surface.axes {
-        let scan = dsa_attribution::interaction_scan(&dm, y);
-        if scan.is_empty() {
-            println!("{axis}: fewer than two varying dimensions — nothing to scan");
+    for axis in &table.axes {
+        if axis.interactions.is_empty() {
+            println!(
+                "{}: fewer than two varying dimensions — nothing to scan",
+                axis.axis
+            );
             continue;
         }
-        println!("{axis}:");
-        for i in scan.iter().take(top) {
+        println!("{}:", axis.axis);
+        for i in axis.interactions.iter().take(top) {
             if i.delta_r2.is_finite() {
                 println!(
                     "  {:<28} ΔR² = {:.4}  F = {:>8.2}  p {} ({} columns)",
@@ -935,6 +943,14 @@ fn cmd_attribute_interactions(domain: &dyn DynDomain, args: &[String]) -> Result
     Ok(())
 }
 
+/// The `--top N` flag of `interactions` and `navigate`: at least 1.
+fn top_flag(flags: &Flags) -> Result<usize, String> {
+    match flag(flags, "top", 5usize)? {
+        0 => Err("--top must be at least 1".into()),
+        top => Ok(top),
+    }
+}
+
 fn cmd_attribute_navigate(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_flags(args)?;
     let token = pos
@@ -946,7 +962,12 @@ fn cmd_attribute_navigate(domain: &dyn DynDomain, args: &[String]) -> Result<(),
     check_flags(&flags, &allowed)?;
     let (scale, response, out) = attribute_setup(&flags)?;
     let tolerance = flag(&flags, "tolerance", 0.05f64)?;
-    let top = flag(&flags, "top", 5usize)?.max(1);
+    if !(tolerance.is_finite() && tolerance >= 0.0) {
+        return Err(format!(
+            "--tolerance must be a finite guard loss of at least 0, not {tolerance}"
+        ));
+    }
+    let top = top_flag(&flags)?;
     let surface = dsa_bench::attribfig::build_surface(domain, response, &scale, &out)?;
     let axis_names: Vec<&str> = surface.axes.iter().map(|(n, _)| n.as_str()).collect();
     let improve_name: String = flag(&flags, "improve", axis_names[0].to_string())?;
@@ -967,13 +988,14 @@ fn cmd_attribute_navigate(domain: &dyn DynDomain, args: &[String]) -> Result<(),
     } else {
         Some(axis_pos(&guard_name)?)
     };
-    let dm = dsa_attribution::DesignMatrix::build(domain.space(), &surface.rows, scale.pra.threads);
-    let axes = dsa_attribution::attribute_surface(&dm, &surface);
+    let table =
+        dsa_attribution::AttribTable::load_or_compute(domain, &surface, scale.pra.threads, &out)?;
+    let improve = &table.axes[improve_at];
     let suggestions = dsa_attribution::navigate(
         domain.space(),
-        &dm,
-        &axes[improve_at],
-        guard_at.map(|g| &axes[g]),
+        &surface.rows,
+        improve,
+        guard_at.map(|g| &table.axes[g]),
         &surface.axes[improve_at].1,
         guard_at.map(|g| surface.axes[g].1.as_slice()),
         start,
@@ -994,7 +1016,7 @@ fn cmd_attribute_navigate(domain: &dyn DynDomain, args: &[String]) -> Result<(),
             ""
         }
     );
-    if axes[improve_at].fit.is_none() {
+    if improve.estimates.is_none() {
         println!(
             "(the {improve_name} axis has no fitted model on this surface — n = {} rows are \
              too few, or the design is aliased)",

@@ -24,8 +24,10 @@
 //! protocols to each domain's candidate set and is part of the stamp).
 //! The `attribution` experiment derives per-dimension effect-size tables
 //! from those caches (one per (domain, response) at
-//! `<out>/attrib-<domain>-<response>-<scale>.csv`; `--response` selects
-//! which surfaces to explain, default `pra`). A cache stamped with a
+//! `<out>/attrib-<domain>-<response>-<scale>.csv`, holding the effect
+//! sizes, estimates and interaction scans it prints, so a warm run fits
+//! nothing; `--response` selects which surfaces to explain, default
+//! `pra`). A cache stamped with a
 //! different space hash, scale, seed, parameter fingerprint, attack,
 //! evo or attrib key is recomputed automatically; delete the file to
 //! force a re-run.
