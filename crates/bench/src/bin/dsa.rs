@@ -10,6 +10,7 @@
 //! dsa <domain> simulate <index|preset> [--seed N] [--churn R] [--effort smoke|lab|paper]
 //! dsa <domain> encounter <a> <b> [--frac F] [--runs N] [--seed N] [--effort E]
 //! dsa <domain> pra [<p1> <p2> ... | --all] [--seed N] [--sample K] [--effort E] [--threads N]
+//!                                        (--sample: opponents per protocol, full space only)
 //! dsa <domain> attack list               list the registered attack models
 //! dsa <domain> attack run <model> <defender> [--budget B] [--runs N] [--seed N] [--effort E]
 //!                                            [--param name=v1,v2,...]   (e.g. k=2,4,8)
@@ -513,6 +514,17 @@ fn cmd_pra(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> {
     let threads = flag(&flags, "threads", 0usize)?;
     let effort = effort_flag(&flags)?;
     let all = explicit_all || pos.is_empty();
+    if sample == 0 {
+        return Err(
+            "--sample must be at least 1: robustness and aggressiveness need opponents".into(),
+        );
+    }
+    if !all && flags.iter().any(|(name, _)| name == "sample") {
+        return Err(
+            "--sample applies only to the full space: listed protocols meet each other exhaustively"
+                .into(),
+        );
+    }
     let indices: Vec<usize> = if all {
         (0..domain.size()).collect()
     } else {

@@ -17,7 +17,9 @@
 //! updated, then churn (if any) replaces departing peers with fresh ones.
 
 use crate::history::{Ledger, Loyalty};
-use crate::protocol::{Allocation, CandidateList, Ranking, StrangerPolicy, SwarmProtocol};
+use crate::protocol::{
+    Allocation, CandidateList, Ranking, StrangerPolicy, SwarmProtocol, MAX_PARTNERS,
+};
 use dsa_workloads::bandwidth::BandwidthDist;
 use dsa_workloads::churn::ChurnModel;
 use dsa_workloads::rng::Xoshiro256pp;
@@ -113,18 +115,19 @@ struct PeerState {
 /// from a different protocol/population) is bit-identical to a fresh one.
 #[derive(Debug, Default)]
 pub struct SwarmScratch {
-    /// Materialized `(peer, value)` candidate list — only used when the
-    /// ledger row can't be ranked in place (Tf2t merge, no-info fallback).
+    /// Materialized `(peer, value)` candidate list, `n` slots — only used
+    /// when the ledger row can't be ranked in place (Tf2t merge, no-info
+    /// fallback).
     cand: Vec<(usize, f64)>,
-    /// Top-k selection buffer: `(ranking key, candidate index)`, kept in
-    /// ranked order.
-    sel: Vec<(f64, usize)>,
     /// Shuffle buffer for the Random ranking.
     order: Vec<usize>,
-    partners: Vec<(usize, f64)>,
     strangers: Vec<usize>,
-    /// Sorted stranger-ineligible peers (me + window contacts + selected
-    /// fallback partners) — the complement defines the eligible set.
+    /// Peers whose protocol ranks by Loyal: the only loyalty rows the
+    /// round loop reads, hence the only ones it updates.
+    loyal: Vec<usize>,
+    /// Sorted stranger-ineligible peers of the no-information fallback
+    /// (me + last round's partners) — the complement defines the
+    /// eligible set.
     excl: Vec<usize>,
     /// Per-round download tally, accumulated at record time (replaces
     /// per-peer `received_total` row sums; same giver order, same bits).
@@ -150,9 +153,8 @@ impl SwarmScratch {
     pub fn footprint(&self) -> usize {
         use dsa_obs::mem::vec_bytes;
         vec_bytes(&self.cand)
-            + vec_bytes(&self.sel)
             + vec_bytes(&self.order)
-            + vec_bytes(&self.partners)
+            + vec_bytes(&self.loyal)
             + vec_bytes(&self.strangers)
             + vec_bytes(&self.excl)
             + vec_bytes(&self.download)
@@ -163,6 +165,7 @@ impl SwarmScratch {
     /// Sizes and clears the run-persistent buffers for an `n`-peer run.
     /// Per-peer transient buffers are cleared at their use sites.
     fn reset(&mut self, n: usize) {
+        self.cand.resize(n, (0, 0.0));
         self.download.clear();
         self.download.resize(n, 0.0);
         self.pp_data.clear();
@@ -172,50 +175,105 @@ impl SwarmScratch {
     }
 }
 
-/// The ranking's strict total order on `(key, candidate index)` pairs:
-/// exactly `sampling::rank_cmp` with the key lookup hoisted out — same
-/// NaN handling (`unwrap_or(Equal)`), same index tie-break, so the same
-/// bits as ranking a materialized key vector.
-#[inline]
-fn key_cmp(a: (f64, usize), b: (f64, usize), ascending: bool) -> std::cmp::Ordering {
-    let ord = a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal);
-    let ord = if ascending { ord } else { ord.reverse() };
-    ord.then(a.1.cmp(&b.1))
-}
+/// Capacity of the round loop's fixed partner buffers: the largest
+/// `partner_slots` a protocol may have ([`run_with_scratch`] asserts it).
+pub(crate) const MAX_K: usize = MAX_PARTNERS as usize;
 
-/// `sampling::top_k_into` specialized to a streamed key sequence: `sel`
-/// ends as the first `k` entries of the stably-ranked candidate order,
-/// without materializing a key vector or gather-loading keys per
-/// comparison. Identical selection logic ⇒ identical prefix.
+/// Selects the first `k ≤ MAX_K` entries of the ranked candidate order
+/// into `sel` as `(key, candidate index)`, best first, and returns how
+/// many it kept (`min(k, candidates)`). `ASCENDING` ranks small keys
+/// first.
+///
+/// The running top-k lives in a fixed buffer shifted by hand, and keys
+/// compare with a plain strict `<` (or `>`). The one invariant this
+/// relies on is that candidates arrive in ascending index: an equal key
+/// then never displaces an earlier entry, which is the index tie-break
+/// of the ranking order, and a NaN (false both ways) behaves as the
+/// ranking's `partial_cmp`-as-equal did. The engine's keys are finite
+/// (amounts, their distances, streak counts).
 #[inline]
-fn select_top_k(
-    sel: &mut Vec<(f64, usize)>,
+pub(crate) fn select_top_k<const ASCENDING: bool>(
+    sel: &mut [(f64, usize); MAX_K],
     k: usize,
-    ascending: bool,
     keys: impl Iterator<Item = f64>,
-) {
-    sel.clear();
+) -> usize {
     if k == 0 {
-        return;
+        return 0;
     }
+    let better = |a: f64, b: f64| if ASCENDING { a < b } else { a > b };
+    let mut len = 0;
     for (idx, key) in keys.enumerate() {
-        let c = (key, idx);
-        if sel.len() == k {
-            // A candidate that doesn't beat the current k-th is never
-            // part of the prefix (ties can't displace earlier indices).
-            if key_cmp(c, sel[k - 1], ascending) != std::cmp::Ordering::Less {
+        if len == k {
+            if !better(key, sel[k - 1].0) {
                 continue;
             }
-            sel.pop();
+            len -= 1;
         }
-        // Linear scan from the tail beats a binary search at k ≤ 9; the
-        // order is strict (index tie-break) so the position is unique.
-        let mut pos = sel.len();
-        while pos > 0 && key_cmp(sel[pos - 1], c, ascending) != std::cmp::Ordering::Less {
+        let mut pos = len;
+        while pos > 0 && better(key, sel[pos - 1].0) {
+            sel[pos] = sel[pos - 1];
             pos -= 1;
         }
-        sel.insert(pos, c);
+        sel[pos] = (key, idx);
+        len += 1;
     }
+    len
+}
+
+/// Merges two `(peer, amount)` rows into `out` and returns the merged
+/// length. Both rows ascend by peer without duplicates (the engine
+/// records in ascending giver order, and churn compaction keeps that
+/// order), so the result does too, with `ra`'s entry winning for a peer
+/// in both rows. `out` needs room for `|ra ∪ rb|` entries.
+///
+/// One branch-free step per element: take the smaller head (`ra`'s on a
+/// tie) and advance every row whose head it matched.
+#[inline]
+pub(crate) fn merge_window(
+    ra: &[(usize, f64)],
+    rb: &[(usize, f64)],
+    out: &mut [(usize, f64)],
+) -> usize {
+    let (mut x, mut y, mut len) = (0, 0, 0);
+    while x < ra.len() && y < rb.len() {
+        let (a, b) = (ra[x], rb[y]);
+        let take_a = a.0 <= b.0;
+        out[len] = if take_a { a } else { b };
+        len += 1;
+        x += usize::from(take_a);
+        y += usize::from(a.0 >= b.0);
+    }
+    for rest in [&ra[x..], &rb[y..]] {
+        out[len..len + rest.len()].copy_from_slice(rest);
+        len += rest.len();
+    }
+    len
+}
+
+/// Maps eligible position `j` to a peer id: the `j`-th (from 0) id not
+/// in `excl`. The exclusions must ascend strictly. Then `e - t`, the
+/// number of eligible ids below the `t`-th exclusion `e`, never
+/// decreases, and `e` lies below the answer exactly when `e - t <= j`;
+/// the answer is `j` plus the count of such `t`. Each comparison stands
+/// alone, so the count has no dependency chain and no early exit, and it
+/// equals the walk that steps `j` past each exclusion at or below it.
+#[inline]
+pub(crate) fn skip_excluded(j: usize, excl: impl Iterator<Item = usize>) -> usize {
+    let mut below = 0;
+    for (t, e) in excl.enumerate() {
+        below += usize::from(e - t <= j);
+    }
+    j + below
+}
+
+/// [`skip_excluded`] over the exclusions `contacts ∪ {i}` without
+/// materializing them. `contacts` ascend strictly and never hold `i`;
+/// `i_pos` is `i`'s position among the ids outside them (`i` minus the
+/// contacts below it). Stepping `j` past `i_pos` first maps it into the
+/// ids outside the contacts alone.
+#[inline]
+pub(crate) fn skip_contacts(j: usize, contacts: &[(usize, f64)], i_pos: usize) -> usize {
+    skip_excluded(j + usize::from(i_pos <= j), contacts.iter().map(|c| c.0))
 }
 
 /// Runs the simulator.
@@ -231,7 +289,8 @@ fn select_top_k(
 ///
 /// # Panics
 ///
-/// Panics on an empty/too-small population or inconsistent assignment.
+/// Panics on an empty/too-small population, inconsistent assignment, or
+/// a protocol with more than [`MAX_PARTNERS`] partner slots.
 pub fn run(
     protocols: &[SwarmProtocol],
     assignment: &[usize],
@@ -261,7 +320,8 @@ pub fn run(
 ///
 /// # Panics
 ///
-/// Panics on an empty/too-small population or inconsistent assignment.
+/// Panics on an empty/too-small population, inconsistent assignment, or
+/// a protocol with more than [`MAX_PARTNERS`] partner slots.
 pub fn run_with_scratch(
     protocols: &[SwarmProtocol],
     assignment: &[usize],
@@ -278,6 +338,10 @@ pub fn run_with_scratch(
         "assignment references missing protocol"
     );
     assert!(config.rounds > 0, "need at least one round");
+    assert!(
+        protocols.iter().all(|p| p.partner_slots <= MAX_PARTNERS),
+        "partner_slots above MAX_PARTNERS ({MAX_PARTNERS})"
+    );
 
     let _run_span = dsa_obs::span("swarm.run");
     let setup_span = dsa_obs::span("swarm.setup");
@@ -321,18 +385,20 @@ pub fn run_with_scratch(
     scratch.reset(n);
     let SwarmScratch {
         cand,
-        sel,
         order,
-        partners,
+        loyal,
         strangers,
         excl,
         download,
         pp_data,
         pp_len,
     } = scratch;
-    // The loyalty ledger is only consulted by the Loyal ranking; keeping
-    // it current otherwise is O(n²) per round of dead work.
-    let needs_loyalty = protocols.iter().any(|p| p.ranking == Ranking::Loyal);
+    let mut sel = [(0.0, 0); MAX_K];
+    let mut partners = [(0, 0.0); MAX_K];
+    // A loyalty row is only consulted by its peer's Loyal ranking; keeping
+    // the others current is O(n) per row and round of dead work.
+    loyal.clear();
+    loyal.extend((0..n).filter(|&i| protocols[assignment[i]].ranking == Ranking::Loyal));
     drop(setup_span);
 
     // Thread-local allocation count at the edge of the round loop: the
@@ -359,25 +425,8 @@ pub fn run_with_scratch(
             // duplicates) and the no-information fallback rebuilds last
             // round's selections, both into the `cand` scratch.
             let cp: &[(usize, f64)] = if remembers_two {
-                cand.clear();
-                let ra = prev.row(i);
-                let rb = prev2.row(i);
-                let (mut x, mut y) = (0, 0);
-                while x < ra.len() && y < rb.len() {
-                    let (a, _) = ra[x];
-                    let (b, _) = rb[y];
-                    if a <= b {
-                        cand.push(ra[x]);
-                        x += 1;
-                        y += usize::from(a == b);
-                    } else {
-                        cand.push(rb[y]);
-                        y += 1;
-                    }
-                }
-                cand.extend_from_slice(&ra[x..]);
-                cand.extend_from_slice(&rb[y..]);
-                cand
+                let len = merge_window(prev.row(i), prev2.row(i), cand);
+                &cand[..len]
             } else {
                 prev.row(i)
             };
@@ -387,11 +436,11 @@ pub fn run_with_scratch(
             // No new information: keep last round's selections as
             // candidates (at their observed — possibly zero — rates).
             let cp: &[(usize, f64)] = if contacts_len == 0 && pp_len[i] > 0 {
-                cand.clear();
-                for &j in &pp_data[i * n..i * n + pp_len[i]] {
-                    cand.push((j, prev.amount(i, j)));
+                let kept = &pp_data[i * n..i * n + pp_len[i]];
+                for (c, &j) in cand.iter_mut().zip(kept) {
+                    *c = (j, prev.amount(i, j));
                 }
-                cand
+                &cand[..kept.len()]
             } else {
                 cp
             };
@@ -401,42 +450,43 @@ pub fn run_with_scratch(
             // use the partial top-k selection (bit-identical prefix);
             // Random keeps the full shuffle to preserve the RNG stream.
             let partner_count = k.min(cp.len());
-            partners.clear();
+            let partners = &mut partners[..partner_count];
             if partner_count > 0 {
                 if proto.ranking == Ranking::Random {
                     order.clear();
                     order.extend(0..cp.len());
                     sampling::shuffle(order, &mut rng);
-                    for &ci in order.iter().take(partner_count) {
-                        partners.push(cp[ci]);
+                    for (p, &ci) in partners.iter_mut().zip(order.iter()) {
+                        *p = cp[ci];
                     }
                 } else {
+                    let keys = cp.iter();
                     match proto.ranking {
                         Ranking::Fastest => {
-                            select_top_k(sel, partner_count, false, cp.iter().map(|p| p.1));
+                            select_top_k::<false>(&mut sel, partner_count, keys.map(|p| p.1));
                         }
                         Ranking::Slowest => {
-                            select_top_k(sel, partner_count, true, cp.iter().map(|p| p.1));
+                            select_top_k::<true>(&mut sel, partner_count, keys.map(|p| p.1));
                         }
                         Ranking::Proximity => {
                             let me = peers[i].quantum;
-                            let keys = cp.iter().map(|p| (p.1 - me).abs());
-                            select_top_k(sel, partner_count, true, keys);
+                            let keys = keys.map(|p| (p.1 - me).abs());
+                            select_top_k::<true>(&mut sel, partner_count, keys);
                         }
                         Ranking::Adaptive => {
                             let asp = peers[i].aspiration;
-                            let keys = cp.iter().map(|p| (p.1 - asp).abs());
-                            select_top_k(sel, partner_count, true, keys);
+                            let keys = keys.map(|p| (p.1 - asp).abs());
+                            select_top_k::<true>(&mut sel, partner_count, keys);
                         }
                         Ranking::Loyal => {
                             let streaks = loyalty.row(i);
-                            let keys = cp.iter().map(|p| f64::from(streaks[p.0]));
-                            select_top_k(sel, partner_count, false, keys);
+                            let keys = keys.map(|p| f64::from(streaks[p.0]));
+                            select_top_k::<false>(&mut sel, partner_count, keys);
                         }
                         Ranking::Random => unreachable!(),
                     }
-                    for &(_, ci) in sel.iter() {
-                        partners.push(cp[ci]);
+                    for (p, &(_, ci)) in partners.iter_mut().zip(sel.iter()) {
+                        *p = cp[ci];
                     }
                 }
             }
@@ -445,13 +495,7 @@ pub fn run_with_scratch(
             let stranger_quota = match proto.stranger_policy {
                 _ if h == 0 => 0,
                 StrangerPolicy::Periodic | StrangerPolicy::Defect => h,
-                StrangerPolicy::WhenNeeded => {
-                    if partners.len() < k {
-                        h.min(k - partners.len())
-                    } else {
-                        0
-                    }
-                }
+                StrangerPolicy::WhenNeeded => h.min(k - partner_count),
             };
             strangers.clear();
             if stranger_quota > 0 {
@@ -459,9 +503,9 @@ pub fn run_with_scratch(
                 // window. The set is never materialized: the exclusions
                 // are `i` plus the window contacts (which subsume the
                 // selected partners, except in the no-information
-                // fallback where the partners themselves are excluded) —
-                // a tiny sorted list whose complement is the ascending
-                // eligible order the materialized list used to index.
+                // fallback where the partners themselves are excluded),
+                // and a sampled eligible position maps to a peer id by
+                // counting the exclusions below it.
                 if contacts_len == 0 {
                     excl.clear();
                     excl.extend(partners.iter().map(|&(j, _)| j));
@@ -474,26 +518,13 @@ pub fn run_with_scratch(
                         &mut rng,
                         strangers,
                     );
-                    // Map eligible positions to peer ids: each exclusion
-                    // at or below the running id shifts it up by one.
                     for slot in strangers.iter_mut() {
-                        let mut j = *slot;
-                        for &e in excl.iter() {
-                            if e <= j {
-                                j += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        *slot = j;
+                        *slot = skip_excluded(*slot, excl.iter().copied());
                     }
                 } else {
                     // Common case: the exclusions are exactly
                     // `cp[..contacts_len]` (ascending by peer) with `i`
-                    // spliced in — walk that merge directly instead of
-                    // materializing it, shifting the sampled id up for
-                    // each exclusion at or below it and stopping at the
-                    // first one above (identical to the excl-list walk).
+                    // spliced in; place `i` among them once per peer.
                     let eligible_len = n - contacts_len - 1;
                     sampling::sample_indices_into(
                         eligible_len,
@@ -501,34 +532,17 @@ pub fn run_with_scratch(
                         &mut rng,
                         strangers,
                     );
+                    let contacts = &cp[..contacts_len];
+                    let i_pos = i - contacts.partition_point(|c| c.0 < i);
                     for slot in strangers.iter_mut() {
-                        let mut j = *slot;
-                        let mut i_pending = true;
-                        for &(e, _) in &cp[..contacts_len] {
-                            if i_pending && i < e {
-                                i_pending = false;
-                                if i <= j {
-                                    j += 1;
-                                } else {
-                                    break;
-                                }
-                            }
-                            if e <= j {
-                                j += 1;
-                            } else {
-                                i_pending = false;
-                                break;
-                            }
-                        }
-                        if i_pending && i <= j {
-                            j += 1;
-                        }
-                        *slot = j;
+                        *slot = skip_contacts(*slot, contacts, i_pos);
                     }
                 }
             }
 
-            // 4. Allocation over per-slot quanta.
+            // 4. Allocation over per-slot quanta. A zero transfer still
+            // registers as a contact; it leaves `download` unchanged (a
+            // tally of non-negative amounts starting at +0.0).
             let q = peers[i].quantum;
             match proto.allocation {
                 Allocation::EqualSplit => {
@@ -551,14 +565,12 @@ pub fn run_with_scratch(
                         // to give — the bootstrap failure the paper notes.
                         for &(j, _) in partners.iter() {
                             next.record_new(j, i, 0.0);
-                            download[j] += 0.0;
                         }
                     }
                 }
                 Allocation::Freeride => {
                     for &(j, _) in partners.iter() {
                         next.record_new(j, i, 0.0);
-                        download[j] += 0.0;
                     }
                 }
             }
@@ -593,8 +605,8 @@ pub fn run_with_scratch(
             p.last_download = dl;
         }
         download.fill(0.0);
-        if needs_loyalty {
-            loyalty.update(&next);
+        for &i in loyal.iter() {
+            loyalty.update_row(i, &next);
         }
 
         // Rotate ledgers: next becomes prev, prev becomes prev2.
@@ -838,6 +850,18 @@ mod tests {
     fn bad_assignment_length_panics() {
         let cfg = small();
         let _ = run(&[presets::bittorrent()], &[0; 3], &cfg, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "partner_slots above MAX_PARTNERS")]
+    fn partner_slots_beyond_the_fixed_buffers_panic() {
+        // Checked for every protocol, even one no peer runs.
+        let wide = SwarmProtocol {
+            partner_slots: 20,
+            ..presets::bittorrent()
+        };
+        let cfg = small();
+        let _ = run(&[presets::bittorrent(), wide], &vec![0; cfg.peers], &cfg, 1);
     }
 
     #[test]

@@ -159,8 +159,8 @@ impl Ledger {
 pub struct Loyalty {
     n: usize,
     streak: Vec<u32>,
-    /// Scratch marks for [`Loyalty::update`]; always all-false between
-    /// calls (set and unset within one update).
+    /// Scratch marks for [`Loyalty::update_row`]; always all-false
+    /// between calls (set and unset within one update).
     mark: Vec<bool>,
 }
 
@@ -175,25 +175,25 @@ impl Loyalty {
         }
     }
 
-    /// Updates all counters from a finished round's ledger.
-    pub fn update(&mut self, round: &Ledger) {
+    /// Updates receiver `i`'s counters from a finished round's ledger.
+    /// Rows are independent, so a caller that reads only some rows needs
+    /// to update only those.
+    pub fn update_row(&mut self, i: usize, round: &Ledger) {
         debug_assert_eq!(round.len(), self.n);
-        for i in 0..self.n {
-            let row = round.row(i);
-            for &(g, a) in row {
-                self.mark[g] = a > 0.0;
+        let row = round.row(i);
+        for &(g, a) in row {
+            self.mark[g] = a > 0.0;
+        }
+        let base = i * self.n;
+        for (j, s) in self.streak[base..base + self.n].iter_mut().enumerate() {
+            if self.mark[j] {
+                *s += 1;
+            } else {
+                *s = 0;
             }
-            let base = i * self.n;
-            for (j, s) in self.streak[base..base + self.n].iter_mut().enumerate() {
-                if self.mark[j] {
-                    *s += 1;
-                } else {
-                    *s = 0;
-                }
-            }
-            for &(g, _) in row {
-                self.mark[g] = false;
-            }
+        }
+        for &(g, _) in row {
+            self.mark[g] = false;
         }
     }
 
@@ -223,6 +223,12 @@ impl Loyalty {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn update(loyalty: &mut Loyalty, round: &Ledger) {
+        for i in 0..round.len() {
+            loyalty.update_row(i, round);
+        }
+    }
 
     #[test]
     fn record_and_query() {
@@ -303,8 +309,8 @@ mod tests {
         let mut loy = Loyalty::new(2);
         let mut round = Ledger::new(2);
         round.record(0, 1, 1.0);
-        loy.update(&round);
-        loy.update(&round);
+        update(&mut loy, &round);
+        update(&mut loy, &round);
         assert_eq!(loy.streak(0, 1), 2);
         assert_eq!(loy.streak(1, 0), 0);
     }
@@ -314,13 +320,35 @@ mod tests {
         let mut loy = Loyalty::new(2);
         let mut giving = Ledger::new(2);
         giving.record(0, 1, 1.0);
-        loy.update(&giving);
+        update(&mut loy, &giving);
         assert_eq!(loy.streak(0, 1), 1);
         // Next round j contacts but gives 0: streak resets.
         let mut stingy = Ledger::new(2);
         stingy.record(0, 1, 0.0);
-        loy.update(&stingy);
+        update(&mut loy, &stingy);
         assert_eq!(loy.streak(0, 1), 0);
+    }
+
+    #[test]
+    fn loyalty_rows_update_independently() {
+        let mut round = Ledger::new(4);
+        round.record(0, 1, 1.0);
+        round.record(0, 2, 0.0);
+        round.record(2, 3, 2.0);
+        round.record(3, 0, 1.0);
+        let mut full = Loyalty::new(4);
+        let mut rows = Loyalty::new(4);
+        for _ in 0..3 {
+            update(&mut full, &round);
+            for i in [0, 2] {
+                rows.update_row(i, &round);
+            }
+        }
+        for i in [0, 2] {
+            assert_eq!(rows.row(i), full.row(i));
+        }
+        assert_eq!(full.streak(0, 1), 3);
+        assert_eq!(full.streak(0, 2), 0);
     }
 
     #[test]
@@ -329,7 +357,7 @@ mod tests {
         let mut round = Ledger::new(2);
         round.record(0, 1, 1.0);
         round.record(1, 0, 1.0);
-        loy.update(&round);
+        update(&mut loy, &round);
         loy.forget_peer(0);
         assert_eq!(loy.streak(0, 1), 0);
         assert_eq!(loy.streak(1, 0), 0);

@@ -33,6 +33,8 @@ pub mod history;
 pub mod metrics;
 pub mod presets;
 pub mod protocol;
+#[cfg(test)]
+mod reference;
 
 pub use adapter::{SwarmDomain, SwarmSim};
 pub use engine::{run, RunOutcome, SimConfig};
