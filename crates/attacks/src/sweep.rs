@@ -321,11 +321,13 @@ fn parse_body(body: &str, n: usize) -> Result<ParsedBody, String> {
     let mut budgets: Vec<f64> = Vec::new();
     let mut names: Vec<String> = Vec::new();
     let mut robustness: Vec<Vec<f64>> = Vec::new();
+    let mut fields = Vec::with_capacity(4);
     for (lineno, line) in lines.enumerate() {
         if line.is_empty() {
             continue;
         }
-        let fields = split_csv(line);
+        fields.clear();
+        fields.extend(split_csv(line));
         if fields.len() != 4 {
             return Err(format!("line {}: expected 4 fields", lineno + 2));
         }
@@ -346,7 +348,7 @@ fn parse_body(body: &str, n: usize) -> Result<ParsedBody, String> {
             return Err(format!("line {}: indices out of order", lineno + 2));
         }
         if budgets.len() == 1 {
-            names.push(fields[2].clone());
+            names.push(fields[2].clone().into_owned());
         }
         row.push(parse(&fields[3], "robustness")?);
     }
@@ -359,6 +361,8 @@ fn parse_body(body: &str, n: usize) -> Result<ParsedBody, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn fake() -> AttackSweep {
         AttackSweep {
@@ -388,6 +392,62 @@ mod tests {
         assert_eq!(budgets, s.budgets);
         assert_eq!(names, s.names);
         assert_eq!(rob, s.robustness);
+    }
+
+    /// Characters that exercise the splitter: quotes, separators, a
+    /// two-byte UTF-8 character and a space.
+    fn name_char() -> impl Strategy<Value = char> {
+        prop_oneof![Just('a'), Just('é'), Just(','), Just('"'), Just(' ')]
+    }
+
+    /// NaN, both infinities, both zeros, subnormals, 1e308 and arbitrary
+    /// bits.
+    fn value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+            Just(f64::from_bits(1)),
+            Just(-f64::MIN_POSITIVE / 3.0),
+            Just(1e308),
+            any::<u64>().prop_map(f64::from_bits),
+        ]
+    }
+
+    /// Bits, with every NaN mapped to one (the CSV prints `NaN` for all).
+    fn bits(rows: &[Vec<f64>]) -> Vec<u64> {
+        rows.iter()
+            .flatten()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn any_sweep_roundtrips_bit_for_bit(
+            names in vec(vec(name_char(), 0..6), 1..6),
+            values in vec(value(), 18),
+            budgets in 1usize..4,
+        ) {
+            let n = names.len();
+            let mut values = values.into_iter().cycle();
+            let s = AttackSweep {
+                // Distinct budgets, -0 and subnormals among them.
+                budgets: [-0.0, f64::from_bits(1), 1e308][..budgets].to_vec(),
+                names: names.iter().map(|c| c.iter().collect()).collect(),
+                robustness: (0..budgets)
+                    .map(|_| values.by_ref().take(n).collect())
+                    .collect(),
+                ..fake()
+            };
+            let (b, back_names, rob) = parse_body(&s.to_csv(), n).expect("round trip");
+            prop_assert_eq!(bits(&[b]), bits(std::slice::from_ref(&s.budgets)));
+            prop_assert_eq!(back_names, s.names.clone());
+            prop_assert_eq!(bits(&rob), bits(&s.robustness));
+        }
     }
 
     #[test]

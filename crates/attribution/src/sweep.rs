@@ -35,6 +35,7 @@ use crate::response::ResponseSurface;
 use dsa_core::cache::{read_stamped, write_stamped, SweepKey};
 use dsa_core::domain::{fnv1a, DynDomain};
 use dsa_core::results::{quote_csv, split_csv};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
 /// The attribution model specification, hashed into every table's
@@ -328,7 +329,7 @@ impl AttribTable {
 
 /// One data row of a body section: its line number in the cache file
 /// (the stamp is line 1) and its fields.
-type Row = (usize, Vec<String>);
+type Row<'a> = (usize, Vec<Cow<'a, str>>);
 
 /// Parses field `s` of the row on `line`, naming `what` on failure.
 fn parse_field<T: std::str::FromStr>(line: usize, s: &str, what: &str) -> Result<T, String>
@@ -340,7 +341,7 @@ where
 }
 
 /// Checks that the row on `line` has `want` fields and belongs to `axis`.
-fn check_row(line: usize, fields: &[String], want: usize, axis: &str) -> Result<(), String> {
+fn check_row(line: usize, fields: &[Cow<str>], want: usize, axis: &str) -> Result<(), String> {
     if fields.len() != want {
         return Err(format!("line {line}: expected {want} fields"));
     }
@@ -370,7 +371,7 @@ fn parse_body(body: &str) -> Result<Vec<AxisSummary>, String> {
         } else if seen == 0 {
             return Err(format!("unexpected header: {line}"));
         } else {
-            sections[seen - 1].push((i + 2, split_csv(line)));
+            sections[seen - 1].push((i + 2, split_csv(line).collect()));
         }
     }
     if seen < headers.len() {
@@ -384,7 +385,7 @@ fn parse_body(body: &str) -> Result<Vec<AxisSummary>, String> {
             return Err(format!("line {line}: expected 10 fields"));
         }
         let effect = DimEffect {
-            name: fields[1].clone(),
+            name: fields[1].clone().into_owned(),
             levels: parse_field(line, &fields[2], "levels")?,
             eta_sq: parse_field(line, &fields[3], "eta_sq")?,
             partial_eta_sq: parse_field(line, &fields[4], "partial_eta_sq")?,
@@ -399,7 +400,7 @@ fn parse_body(body: &str) -> Result<Vec<AxisSummary>, String> {
         match axes.last_mut() {
             Some(last) if last.axis == fields[0] => last.dims.push(effect),
             _ => axes.push(AxisSummary {
-                axis: fields[0].clone(),
+                axis: fields[0].clone().into_owned(),
                 n,
                 r2,
                 adj_r2,
@@ -414,7 +415,7 @@ fn parse_body(body: &str) -> Result<Vec<AxisSummary>, String> {
     for axis in &mut axes {
         if estimates
             .peek()
-            .is_some_and(|(_, fields)| fields.first() == Some(&axis.axis))
+            .is_some_and(|(_, fields)| fields[0] == axis.axis)
         {
             let mut per_dim = Vec::with_capacity(axis.dims.len());
             for d in &axis.dims {
@@ -455,8 +456,8 @@ fn parse_body(body: &str) -> Result<Vec<AxisSummary>, String> {
                 .ok_or_else(|| format!("interaction scan of {} ends early", axis.axis))?;
             check_row(line, &fields, 7, &axis.axis)?;
             axis.interactions.push(InteractionEffect {
-                dim_a: fields[1].clone(),
-                dim_b: fields[2].clone(),
+                dim_a: fields[1].clone().into_owned(),
+                dim_b: fields[2].clone().into_owned(),
                 columns: parse_field(line, &fields[3], "columns")?,
                 delta_r2: parse_field(line, &fields[4], "delta_r2")?,
                 f_stat: parse_field(line, &fields[5], "f_stat")?,
@@ -474,6 +475,8 @@ fn parse_body(body: &str) -> Result<Vec<AxisSummary>, String> {
 mod tests {
     use super::*;
     use dsa_core::space::{DesignSpace, Dimension};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn effect(name: &str, levels: usize, eta_sq: f64, partial: f64) -> DimEffect {
         DimEffect {
@@ -606,6 +609,91 @@ mod tests {
             ..t.clone()
         };
         assert_eq!(round.to_csv(), t.to_csv());
+    }
+
+    /// Characters that exercise the splitter: quotes, separators, a
+    /// two-byte UTF-8 character and a space.
+    fn name_char() -> impl Strategy<Value = char> {
+        prop_oneof![Just('a'), Just('é'), Just(','), Just('"'), Just(' ')]
+    }
+
+    /// NaN, both infinities, both zeros, subnormals, 1e308 and arbitrary
+    /// bits.
+    fn value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+            Just(f64::from_bits(1)),
+            Just(-f64::MIN_POSITIVE / 3.0),
+            Just(1e308),
+            any::<u64>().prop_map(f64::from_bits),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn any_table_roundtrips_bit_for_bit(
+            names in vec(vec(name_char(), 0..6), 4),
+            values in vec(value(), 40),
+            levels in vec(1usize..4, 3),
+            k in 1usize..4,
+            fitted in any::<bool>(),
+        ) {
+            let name = |i: usize| names[i].iter().collect::<String>();
+            let mut next = values.into_iter().cycle();
+            let mut v = move || next.next().expect("cycled");
+            let axes: Vec<AxisSummary> = (0..2)
+                .map(|a| {
+                    let dims: Vec<DimEffect> = (0..k)
+                        .map(|d| DimEffect {
+                            name: name(d),
+                            levels: levels[d],
+                            eta_sq: v(),
+                            partial_eta_sq: v(),
+                            f_stat: v(),
+                            p_value: v(),
+                        })
+                        .collect();
+                    let fit = fitted && a == 0;
+                    let estimates = fit.then(|| {
+                        dims.iter()
+                            .map(|d| (0..d.levels).map(|l| level(l, v())).collect())
+                            .collect()
+                    });
+                    let mut interactions = Vec::new();
+                    for i in 0..k {
+                        for j in i + 1..k {
+                            interactions.push(pair(&name(i), &name(j), v(), v(), v()));
+                        }
+                    }
+                    AxisSummary {
+                        // Axis names differ, so their rows never merge.
+                        axis: format!("{}{a}", name(3)),
+                        n: 5,
+                        r2: if fit { v() } else { f64::NAN },
+                        adj_r2: v(),
+                        dims,
+                        estimates,
+                        interactions,
+                    }
+                })
+                .collect();
+            let t = AttribTable { axes, ..fake() };
+            let parsed = parse_body(&t.to_csv()).expect("round trip");
+            prop_assert_eq!(bits(&parsed), bits(&t.axes));
+            for (p, a) in parsed.iter().zip(&t.axes) {
+                prop_assert_eq!(&p.axis, &a.axis);
+                prop_assert!(p.dims.iter().map(|d| &d.name).eq(a.dims.iter().map(|d| &d.name)));
+                prop_assert!(p.interactions.iter().map(|i| (&i.dim_a, &i.dim_b))
+                    .eq(a.interactions.iter().map(|i| (&i.dim_a, &i.dim_b))));
+            }
+            let round = AttribTable { axes: parsed, ..t.clone() };
+            prop_assert_eq!(round.to_csv(), t.to_csv());
+        }
     }
 
     #[test]

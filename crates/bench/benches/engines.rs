@@ -6,13 +6,16 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dsa_btsim::choker::ClientKind;
 use dsa_btsim::config::BtConfig;
 use dsa_btsim::swarm::simulate;
+use dsa_core::results::PraResults;
 use dsa_gametheory::axelrod::{round_robin, TournamentConfig};
 use dsa_gametheory::games::prisoners_dilemma;
 use dsa_gametheory::strategy::classic_field;
 use dsa_stats::encode::NamedColumn;
+use dsa_stats::hull::convex_hull_volume;
 use dsa_stats::ols;
 use dsa_swarm::engine::{run, SimConfig};
 use dsa_swarm::presets;
+use dsa_swarm::protocol::SwarmProtocol;
 use dsa_workloads::bandwidth::BandwidthDist;
 use dsa_workloads::rng::Xoshiro256pp;
 use std::hint::black_box;
@@ -216,6 +219,40 @@ fn bench_engines(c: &mut Criterion) {
     let swarm_dm = dsa_attribution::DesignMatrix::build(&swarm_space, &swarm_rows, 1);
     c.bench_function("attrib_interactions_swarm_3270", |b| {
         b.iter(|| dsa_attribution::interaction_scan(black_box(&swarm_dm), black_box(&swarm_y)))
+    });
+
+    // The two warm-figure kernels over a synthetic smoke-shaped swarm
+    // sweep: R and A on the 1/6 grid (six sampled opponents), P with one
+    // protocol in eight tied at the maximum. Parsing the stamped PRA
+    // cache body (3270 rows with the protocol codes as names) is what
+    // every warm figure pays per sweep it reads; the hull of the (P, R,
+    // A) cloud is the cross-domain figure's one geometric kernel.
+    let mut sweep_rng = Xoshiro256pp::seed_from_u64(0x3270);
+    let sweep_points: Vec<[f64; 3]> = (0..swarm_rows.len())
+        .map(|_| {
+            let p = if sweep_rng.index(8) == 0 {
+                1.0
+            } else {
+                sweep_rng.next_f64()
+            };
+            let r = sweep_rng.index(7);
+            let a = (r + sweep_rng.index(3)).saturating_sub(1).min(6);
+            [p, r as f64 / 6.0, a as f64 / 6.0]
+        })
+        .collect();
+    let sweep = PraResults::new(
+        sweep_points.iter().map(|p| 144.1497 * p[0]).collect(),
+        sweep_points.iter().map(|p| p[0]).collect(),
+        sweep_points.iter().map(|p| p[1]).collect(),
+        sweep_points.iter().map(|p| p[2]).collect(),
+    );
+    let sweep_names: Vec<String> = SwarmProtocol::all().map(|p| p.to_string()).collect();
+    let sweep_csv = sweep.to_csv(Some(&sweep_names));
+    c.bench_function("pra_from_csv_swarm_3270", |b| {
+        b.iter(|| PraResults::from_csv(black_box(&sweep_csv)).unwrap())
+    });
+    c.bench_function("hull_volume_swarm_3270", |b| {
+        b.iter(|| convex_hull_volume(black_box(&sweep_points)))
     });
 
     // OLS on a Table 3-shaped problem (3270 × 12); random columns are

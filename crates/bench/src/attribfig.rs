@@ -398,7 +398,7 @@ mod tests {
             .iter()
             .position(|l| l == "axis,dim_a,dim_b,columns,delta_r2,f_stat,p_value")
             .expect("scan section");
-        let mut fields = dsa_core::results::split_csv(&lines[row]);
+        let mut fields: Vec<_> = dsa_core::results::split_csv(&lines[row]).collect();
         assert_eq!(fields[0], "performance");
         fields[4] = "0.987654".into();
         lines[row] = fields.join(",");

@@ -396,6 +396,15 @@ fn check_flags(flags: &Flags, allowed: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
+/// A count flag (`--runs`, `--steps`, `--restarts`, `--top`): at least 1.
+/// Zero would silently run a different configuration, or none at all.
+fn count_flag(flags: &Flags, name: &str, default: usize) -> Result<usize, String> {
+    match flag(flags, name, default)? {
+        0 => Err(format!("--{name} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn effort_flag(flags: &Flags) -> Result<Effort, String> {
     let name: String = flag(flags, "effort", "smoke".to_string())?;
     Effort::by_name(&name).ok_or_else(|| format!("unknown --effort '{name}' (smoke|lab|paper)"))
@@ -469,10 +478,7 @@ fn cmd_encounter(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> 
             "--frac must lie in (0, 1): both groups need peers, got {frac}"
         ));
     }
-    let runs = flag(&flags, "runs", 5usize)?;
-    if runs == 0 {
-        return Err("--runs must be at least 1".into());
-    }
+    let runs = count_flag(&flags, "runs", 5)?;
     let seed = flag(&flags, "seed", 1u64)?;
     let effort = effort_flag(&flags)?;
     let mut wins = 0;
@@ -610,7 +616,7 @@ fn cmd_attack_run(domain: &dyn DynDomain, args: &[String]) -> Result<(), String>
         .ok_or_else(|| format!("unknown attack model '{model_name}' (see 'attack list')"))?;
     let token = pos.get(1).ok_or("attack run needs a defender protocol")?;
     let defender = domain.parse(token)?;
-    let runs = flag(&flags, "runs", 3usize)?.max(1);
+    let runs = count_flag(&flags, "runs", 3)?;
     let seed = flag(&flags, "seed", 1u64)?;
     let effort = effort_flag(&flags)?;
     let budgets: Vec<f64> = if flags.iter().any(|(n, _)| n == "budget") {
@@ -726,7 +732,7 @@ fn evolve_setup(
         return Err("evolve needs at least two distinct candidates".into());
     }
     let cfg = dsa_evolution::EvoConfig {
-        encounter_runs: flag(&flags, "runs", 2usize)?.max(1),
+        encounter_runs: count_flag(&flags, "runs", 2)?,
         threads: flag(&flags, "threads", 0usize)?,
         seed: flag(&flags, "seed", 0x5EEDu64)?,
         ..dsa_evolution::EvoConfig::default()
@@ -764,7 +770,7 @@ fn cmd_evolve_matrix(domain: &dyn DynDomain, args: &[String]) -> Result<(), Stri
 
 fn cmd_evolve_run(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> {
     let (candidates, cfg, effort, flags) = evolve_setup(domain, args, &["steps"])?;
-    let steps = flag(&flags, "steps", 60usize)?.max(1);
+    let steps = count_flag(&flags, "steps", 60)?;
     let m = dsa_evolution::empirical_matrix(domain, &candidates, effort, &cfg);
     let k = m.len();
     let uniform = vec![1.0 / k as f64; k];
@@ -910,7 +916,7 @@ fn cmd_attribute_interactions(domain: &dyn DynDomain, args: &[String]) -> Result
     let mut allowed = ATTRIBUTE_FLAGS.to_vec();
     allowed.push("top");
     check_flags(&flags, &allowed)?;
-    let top = top_flag(&flags)?;
+    let top = count_flag(&flags, "top", 5)?;
     let (scale, response, out) = attribute_setup(&flags)?;
     let surface = dsa_bench::attribfig::build_surface(domain, response, &scale, &out)?;
     let table =
@@ -955,14 +961,6 @@ fn cmd_attribute_interactions(domain: &dyn DynDomain, args: &[String]) -> Result
     Ok(())
 }
 
-/// The `--top N` flag of `interactions` and `navigate`: at least 1.
-fn top_flag(flags: &Flags) -> Result<usize, String> {
-    match flag(flags, "top", 5usize)? {
-        0 => Err("--top must be at least 1".into()),
-        top => Ok(top),
-    }
-}
-
 fn cmd_attribute_navigate(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_flags(args)?;
     let token = pos
@@ -979,7 +977,7 @@ fn cmd_attribute_navigate(domain: &dyn DynDomain, args: &[String]) -> Result<(),
             "--tolerance must be a finite guard loss of at least 0, not {tolerance}"
         ));
     }
-    let top = top_flag(&flags)?;
+    let top = count_flag(&flags, "top", 5)?;
     let surface = dsa_bench::attribfig::build_surface(domain, response, &scale, &out)?;
     let axis_names: Vec<&str> = surface.axes.iter().map(|(n, _)| n.as_str()).collect();
     let improve_name: String = flag(&flags, "improve", axis_names[0].to_string())?;
@@ -1069,7 +1067,7 @@ fn cmd_search(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> {
     check_flags(&flags, &["seed", "budget", "restarts", "effort"])?;
     let seed = flag(&flags, "seed", 0x5EEDu64)?;
     let budget = flag(&flags, "budget", 400usize)?;
-    let restarts = flag(&flags, "restarts", 4usize)?.max(1);
+    let restarts = count_flag(&flags, "restarts", 4)?;
     let effort = effort_flag(&flags)?;
     // Objective: homogeneous performance at one probe seed — the cheap
     // proxy the §7 future-work demo uses. The probe seed derives from the
@@ -1511,7 +1509,19 @@ fn cmd_bt(args: &[String]) -> Result<(), String> {
     let a = parse_kind(pos.first().ok_or("bt needs a client kind")?)?;
     let b = pos.get(1).map(|t| parse_kind(t)).transpose()?.unwrap_or(a);
     let frac = flag(&flags, "frac", if pos.len() > 1 { 0.5 } else { 1.0 })?;
-    let runs = flag(&flags, "runs", 5usize)?;
+    // Two kinds need peers of both; one kind may fill the whole swarm.
+    let (valid, range) = if pos.len() > 1 {
+        (frac > 0.0 && frac < 1.0, "(0, 1)")
+    } else {
+        ((0.0..=1.0).contains(&frac), "[0, 1]")
+    };
+    if !valid {
+        return Err(format!(
+            "--frac is the share of {} peers and must lie in {range}, got {frac}",
+            a.name()
+        ));
+    }
+    let runs = count_flag(&flags, "runs", 5)?;
     let seed = flag(&flags, "seed", 1u64)?;
     let config = BtConfig::default();
     let (ta, tb) = mixed_runs(a, b, frac, runs, &config, seed);

@@ -35,6 +35,8 @@ pub mod cache;
 pub mod domain;
 pub mod parallel;
 pub mod pra;
+#[cfg(test)]
+mod reference;
 pub mod results;
 pub mod search;
 pub mod sim;

@@ -6,6 +6,7 @@
 //! column order, quoted names, no external dependencies).
 
 use crate::pra::PraPoint;
+use std::borrow::Cow;
 
 /// Results of a PRA sweep, indexed by protocol position.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,13 +82,28 @@ impl PraResults {
     }
 
     /// 1-based rank of protocol `i` under a measure (the paper quotes
-    /// "Birds ... ranks at 30 among all 3270 protocols").
+    /// "Birds ... ranks at 30 among all 3270 protocols"); 0 when `i` is
+    /// out of range.
+    ///
+    /// Counts, without sorting, the protocols ranked ahead of `i`: those
+    /// with a greater value, plus those with an equal value at a lower
+    /// index. That is `i`'s position in [`Self::ranked_by`]'s stable
+    /// best-first order whenever the measure has no NaN; a NaN compares
+    /// neither greater nor equal here, while the sort treats it as equal
+    /// to everything.
     #[must_use]
     pub fn rank_of(&self, i: usize, measure: impl Fn(&PraPoint) -> f64) -> usize {
-        self.ranked_by(measure)
-            .iter()
-            .position(|&x| x == i)
-            .map_or(0, |p| p + 1)
+        if i >= self.len() {
+            return 0;
+        }
+        let v = measure(&self.point(i));
+        let ahead = (0..self.len())
+            .filter(|&j| {
+                let u = measure(&self.point(j));
+                u > v || (u == v && j < i)
+            })
+            .count();
+        ahead + 1
     }
 
     /// Serializes to CSV with an `index` column and optional names.
@@ -134,19 +150,29 @@ impl PraResults {
         let mut rob = Vec::new();
         let mut agg = Vec::new();
         let mut names = Vec::new();
+        let mut fields = Vec::with_capacity(6);
         for (lineno, line) in lines.enumerate() {
             if line.is_empty() {
                 continue;
             }
-            let fields = split_csv(line);
+            fields.clear();
+            fields.extend(split_csv(line));
             if fields.len() != 6 {
                 return Err(format!("line {}: expected 6 fields", lineno + 2));
+            }
+            let expected = names.len();
+            if fields[0].parse::<usize>() != Ok(expected) {
+                return Err(format!(
+                    "line {}: index {}, expected {expected}",
+                    lineno + 2,
+                    fields[0]
+                ));
             }
             let parse = |s: &str, what: &str| {
                 s.parse::<f64>()
                     .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 2))
             };
-            names.push(fields[1].clone());
+            names.push(fields[1].clone().into_owned());
             raw.push(parse(&fields[2], "performance_raw")?);
             perf.push(parse(&fields[3], "performance")?);
             rob.push(parse(&fields[4], "robustness")?);
@@ -166,28 +192,80 @@ pub fn quote_csv(s: &str) -> String {
     }
 }
 
-/// Splits one CSV line honoring double-quoted fields.
+/// Splits one CSV line into its fields, honoring double-quoted fields.
+///
+/// A field with no `"` in it is borrowed from `line`. Only a field that
+/// holds a quote is rebuilt: each `"` toggles quoting, and `""` inside
+/// quotes is one literal `"`. A `,` ends a field only outside quotes, and
+/// a line of `n` unquoted commas has `n + 1` fields. The field list
+/// equals, for every input (malformed quoting included), what a
+/// char-by-char splitter applying those rules to the whole line returns;
+/// the old allocating splitter is kept as a test reference and checked
+/// against this one. `,` and `"` are ASCII, and no byte of a multi-byte
+/// UTF-8 character is ASCII, so scanning bytes for them is safe and every
+/// slice boundary is a char boundary.
+///
+/// Readers that parse many lines reuse one buffer:
+/// `fields.clear(); fields.extend(split_csv(line));`.
 #[must_use]
-pub fn split_csv(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut field = String::new();
+pub fn split_csv(line: &str) -> CsvFields<'_> {
+    CsvFields {
+        line,
+        next: Some(0),
+    }
+}
+
+/// The fields of one CSV line, in order (see [`split_csv`]).
+#[derive(Debug, Clone)]
+pub struct CsvFields<'a> {
+    line: &'a str,
+    /// Byte offset of the next field; `None` once the last is returned.
+    next: Option<usize>,
+}
+
+impl<'a> Iterator for CsvFields<'a> {
+    type Item = Cow<'a, str>;
+
+    fn next(&mut self) -> Option<Cow<'a, str>> {
+        let start = self.next?;
+        let rest = &self.line[start..];
+        match rest.bytes().position(|b| b == b',' || b == b'"') {
+            Some(k) if rest.as_bytes()[k] == b',' => {
+                self.next = Some(start + k + 1);
+                Some(Cow::Borrowed(&rest[..k]))
+            }
+            Some(_) => {
+                let (field, end) = unquote(rest);
+                self.next = end.map(|k| start + k + 1);
+                Some(Cow::Owned(field))
+            }
+            None => {
+                self.next = None;
+                Some(Cow::Borrowed(rest))
+            }
+        }
+    }
+}
+
+/// Rebuilds a field that holds a quote, from the field's start: returns
+/// the field and the offset of the unquoted `,` that ends it (`None` when
+/// it runs to the end of the line).
+fn unquote(s: &str) -> (String, Option<usize>) {
+    let mut field = String::with_capacity(s.len());
     let mut in_quotes = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
+    let mut chars = s.char_indices().peekable();
+    while let Some((k, c)) = chars.next() {
         match c {
-            '"' if in_quotes && chars.peek() == Some(&'"') => {
+            '"' if in_quotes && chars.peek().is_some_and(|&(_, n)| n == '"') => {
                 field.push('"');
                 chars.next();
             }
             '"' => in_quotes = !in_quotes,
-            ',' if !in_quotes => {
-                out.push(std::mem::take(&mut field));
-            }
+            ',' if !in_quotes => return (field, Some(k)),
             _ => field.push(c),
         }
     }
-    out.push(field);
-    out
+    (field, None)
 }
 
 #[cfg(test)]
@@ -260,15 +338,35 @@ mod tests {
     }
 
     #[test]
+    fn csv_rejects_rows_out_of_index_order() {
+        let r = sample();
+        let csv = r.to_csv(None);
+        let mut lines: Vec<&str> = csv.lines().collect();
+        lines.swap(1, 2);
+        let swapped = lines.join("\n");
+        assert_eq!(
+            PraResults::from_csv(&swapped).unwrap_err(),
+            "line 2: index 1, expected 0"
+        );
+        let bad = csv.replacen("\n1,", "\nx,", 1);
+        assert_eq!(
+            PraResults::from_csv(&bad).unwrap_err(),
+            "line 3: index x, expected 1"
+        );
+    }
+
+    #[test]
     fn split_csv_handles_quotes() {
-        assert_eq!(
-            split_csv(r#"1,"a,b",c"#),
-            vec!["1".to_string(), "a,b".to_string(), "c".to_string()]
-        );
-        assert_eq!(
-            split_csv(r#""say ""hi""",2"#),
-            vec!["say \"hi\"".to_string(), "2".to_string()]
-        );
+        let split = |line| split_csv(line).collect::<Vec<_>>();
+        assert_eq!(split(r#"1,"a,b",c"#), vec!["1", "a,b", "c"]);
+        assert_eq!(split(r#""say ""hi""",2"#), vec!["say \"hi\"", "2"]);
+        assert_eq!(split(""), vec![""]);
+        assert_eq!(split(",é,"), vec!["", "é", ""]);
+        // Unquoted fields are borrowed; only a quoted one is rebuilt.
+        let fields = split(r#"x,"y",z"#);
+        assert!(matches!(fields[0], Cow::Borrowed("x")));
+        assert!(matches!(&fields[1], Cow::Owned(y) if y == "y"));
+        assert!(matches!(fields[2], Cow::Borrowed("z")));
     }
 
     #[test]

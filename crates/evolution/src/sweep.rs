@@ -198,11 +198,13 @@ fn parse_body(body: &str, k: usize) -> Result<(Vec<String>, Vec<Vec<f64>>), Stri
     }
     let mut names: Vec<String> = Vec::with_capacity(k);
     let mut payoff: Vec<Vec<f64>> = Vec::with_capacity(k);
+    let mut fields = Vec::with_capacity(4);
     for (lineno, line) in lines.enumerate() {
         if line.is_empty() {
             continue;
         }
-        let fields = split_csv(line);
+        fields.clear();
+        fields.extend(split_csv(line));
         if fields.len() != 4 {
             return Err(format!("line {}: expected 4 fields", lineno + 2));
         }
@@ -217,7 +219,7 @@ fn parse_body(body: &str, k: usize) -> Result<(Vec<String>, Vec<Vec<f64>>), Stri
                 return Err(format!("line {}: rows out of order", lineno + 2));
             }
             payoff.push(Vec::with_capacity(k));
-            names.push(fields[2].clone());
+            names.push(fields[2].clone().into_owned());
         }
         let rows = payoff.len();
         let row = payoff
@@ -240,6 +242,8 @@ fn parse_body(body: &str, k: usize) -> Result<(Vec<String>, Vec<Vec<f64>>), Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn fake() -> EvoSweep {
         EvoSweep {
@@ -270,6 +274,54 @@ mod tests {
         let (names, payoff) = parse_body(&s.to_csv(), 2).unwrap();
         assert_eq!(names, s.matrix.names);
         assert_eq!(payoff, s.matrix.payoff);
+    }
+
+    /// Characters that exercise the splitter: quotes, separators, a
+    /// two-byte UTF-8 character and a space.
+    fn name_char() -> impl Strategy<Value = char> {
+        prop_oneof![Just('a'), Just('é'), Just(','), Just('"'), Just(' ')]
+    }
+
+    /// NaN, both infinities, both zeros, subnormals, 1e308 and arbitrary
+    /// bits.
+    fn value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+            Just(f64::from_bits(1)),
+            Just(-f64::MIN_POSITIVE / 3.0),
+            Just(1e308),
+            any::<u64>().prop_map(f64::from_bits),
+        ]
+    }
+
+    /// Bits, with every NaN mapped to one (the CSV prints `NaN` for all).
+    fn bits(rows: &[Vec<f64>]) -> Vec<u64> {
+        rows.iter()
+            .flatten()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn any_matrix_roundtrips_bit_for_bit(
+            names in vec(vec(name_char(), 0..6), 1..5),
+            values in vec(value(), 16),
+        ) {
+            let k = names.len();
+            let mut values = values.into_iter().cycle();
+            let mut s = fake();
+            s.matrix.names = names.iter().map(|c| c.iter().collect()).collect();
+            s.matrix.payoff = (0..k).map(|_| values.by_ref().take(k).collect()).collect();
+            let (back_names, payoff) = parse_body(&s.to_csv(), k).expect("round trip");
+            prop_assert_eq!(back_names, s.matrix.names.clone());
+            prop_assert_eq!(bits(&payoff), bits(&s.matrix.payoff));
+        }
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! horizon. The volume follows from the divergence theorem over the
 //! outward-oriented faces. Points are expected in a unit-scale box (the
 //! PRA cube is `[0,1]³`); the degeneracy epsilon is absolute.
+//!
+//! Each face carries its normal `cross(b − a, c − a)`, computed once when
+//! the face is created and dropped with it, so a face and its normal never
+//! go out of step. A point sees a face when `dot(normal, p − a) > EPS`:
+//! the operations, and their order, of `orient` itself, so every
+//! visibility decision and the volume keep their bits. The old code, which
+//! recomputed each normal for every point, is kept as a test reference.
 
 type P3 = [f64; 3];
 
@@ -36,6 +43,30 @@ fn norm2(a: P3) -> f64 {
 /// `(a, b, c)` (positive on the side the face normal points to).
 fn orient(a: P3, b: P3, c: P3, p: P3) -> f64 {
     dot(cross(sub(b, a), sub(c, a)), sub(p, a))
+}
+
+/// A hull face: vertex indices ordered so the normal points outward, the
+/// first vertex's coordinates and the normal `cross(b − a, c − a)`.
+struct Face {
+    v: [usize; 3],
+    a: P3,
+    normal: P3,
+}
+
+impl Face {
+    fn new(pts: &[P3], v: [usize; 3]) -> Self {
+        let [a, b, c] = v.map(|i| pts[i]);
+        Self {
+            v,
+            a,
+            normal: cross(sub(b, a), sub(c, a)),
+        }
+    }
+
+    /// [`orient`] of `p` against this face, from the cached normal.
+    fn height(&self, p: P3) -> f64 {
+        dot(self.normal, sub(p, self.a))
+    }
 }
 
 /// Volume of the convex hull of `points`.
@@ -87,7 +118,7 @@ pub fn convex_hull_volume(points: &[P3]) -> f64 {
 
     // Orient the four seed faces outward (each away from the opposite
     // vertex).
-    let mut faces: Vec<[usize; 3]> = Vec::new();
+    let mut faces: Vec<Face> = Vec::new();
     for (face, opposite) in [
         ([i0, i1, i2], i3),
         ([i0, i1, i3], i2),
@@ -96,43 +127,36 @@ pub fn convex_hull_volume(points: &[P3]) -> f64 {
     ] {
         let [a, b, c] = face;
         if orient(pts[a], pts[b], pts[c], pts[opposite]) > 0.0 {
-            faces.push([a, c, b]);
+            faces.push(Face::new(&pts, [a, c, b]));
         } else {
-            faces.push([a, b, c]);
+            faces.push(Face::new(&pts, [a, b, c]));
         }
     }
 
     // Insert the remaining points.
+    let mut visible: Vec<[usize; 3]> = Vec::new();
+    let mut edges: Vec<(usize, usize)> = Vec::new();
     for p in 0..pts.len() {
         if p == i0 || p == i1 || p == i2 || p == i3 {
             continue;
         }
-        let visible: Vec<usize> = (0..faces.len())
-            .filter(|&f| {
-                let [a, b, c] = faces[f];
-                orient(pts[a], pts[b], pts[c], pts[p]) > EPS
-            })
-            .collect();
+        visible.clear();
+        visible.extend(faces.iter().filter(|f| f.height(pts[p]) > EPS).map(|f| f.v));
         if visible.is_empty() {
             continue; // Inside (or on) the current hull.
         }
         // Horizon: directed edges of visible faces whose reverse edge is
         // not an edge of another visible face.
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        for &f in &visible {
-            let [a, b, c] = faces[f];
+        edges.clear();
+        for &[a, b, c] in &visible {
             edges.extend([(a, b), (b, c), (c, a)]);
         }
-        let horizon: Vec<(usize, usize)> = edges
-            .iter()
-            .copied()
-            .filter(|&(u, v)| !edges.contains(&(v, u)))
-            .collect();
         // Replace visible faces with the fan from the horizon to p.
-        let visible_set: Vec<[usize; 3]> = visible.iter().map(|&f| faces[f]).collect();
-        faces.retain(|f| !visible_set.contains(f));
-        for (u, v) in horizon {
-            faces.push([u, v, p]);
+        faces.retain(|f| !visible.contains(&f.v));
+        for &(u, v) in &edges {
+            if !edges.contains(&(v, u)) {
+                faces.push(Face::new(&pts, [u, v, p]));
+            }
         }
     }
 
@@ -141,7 +165,10 @@ pub fn convex_hull_volume(points: &[P3]) -> f64 {
     // volume.
     let volume: f64 = faces
         .iter()
-        .map(|&[a, b, c]| dot(pts[a], cross(pts[b], pts[c])) / 6.0)
+        .map(|f| {
+            let [a, b, c] = f.v;
+            dot(pts[a], cross(pts[b], pts[c])) / 6.0
+        })
         .sum();
     volume.abs()
 }

@@ -1,5 +1,6 @@
 //! The row-oriented kernels that the blocked [`Matrix::cholesky`] and the
-//! column-built OLS normal equations replaced, kept as test references:
+//! column-built OLS normal equations replaced, and the convex hull that
+//! recomputed every face normal for every point, kept as test references:
 //! the production kernels must reproduce every one of their result bits.
 
 use crate::describe::mean;
@@ -538,5 +539,212 @@ mod tests {
         let x = NamedColumn::new("x", vec![1.0, 2.0]);
         assert_ols_matches(std::slice::from_ref(&x), &[1.0, 2.0, 3.0]);
         assert_ols_matches(std::slice::from_ref(&x), &[1.0, 2.0]);
+    }
+}
+
+/// The convex hull volume as it was before faces cached their normals.
+mod hull {
+    type P3 = [f64; 3];
+
+    const EPS: f64 = 1e-9;
+
+    fn sub(a: P3, b: P3) -> P3 {
+        [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+    }
+
+    fn cross(a: P3, b: P3) -> P3 {
+        [
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        ]
+    }
+
+    fn dot(a: P3, b: P3) -> f64 {
+        a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    }
+
+    fn norm2(a: P3) -> f64 {
+        dot(a, a)
+    }
+
+    fn orient(a: P3, b: P3, c: P3, p: P3) -> f64 {
+        dot(cross(sub(b, a), sub(c, a)), sub(p, a))
+    }
+
+    fn convex_hull_volume(points: &[P3]) -> f64 {
+        let pts: Vec<P3> = points
+            .iter()
+            .copied()
+            .filter(|p| p.iter().all(|c| c.is_finite()))
+            .collect();
+        if pts.len() < 4 {
+            return 0.0;
+        }
+        let i0 = 0;
+        let Some(i1) = (0..pts.len())
+            .max_by(|&a, &b| norm2(sub(pts[a], pts[i0])).total_cmp(&norm2(sub(pts[b], pts[i0]))))
+        else {
+            return 0.0;
+        };
+        if norm2(sub(pts[i1], pts[i0])) < EPS * EPS {
+            return 0.0;
+        }
+        let Some(i2) = (0..pts.len()).max_by(|&a, &b| {
+            norm2(cross(sub(pts[i1], pts[i0]), sub(pts[a], pts[i0])))
+                .total_cmp(&norm2(cross(sub(pts[i1], pts[i0]), sub(pts[b], pts[i0]))))
+        }) else {
+            return 0.0;
+        };
+        if norm2(cross(sub(pts[i1], pts[i0]), sub(pts[i2], pts[i0]))) < EPS * EPS {
+            return 0.0;
+        }
+        let Some(i3) = (0..pts.len()).max_by(|&a, &b| {
+            orient(pts[i0], pts[i1], pts[i2], pts[a])
+                .abs()
+                .total_cmp(&orient(pts[i0], pts[i1], pts[i2], pts[b]).abs())
+        }) else {
+            return 0.0;
+        };
+        if orient(pts[i0], pts[i1], pts[i2], pts[i3]).abs() < EPS {
+            return 0.0;
+        }
+        let mut faces: Vec<[usize; 3]> = Vec::new();
+        for (face, opposite) in [
+            ([i0, i1, i2], i3),
+            ([i0, i1, i3], i2),
+            ([i0, i2, i3], i1),
+            ([i1, i2, i3], i0),
+        ] {
+            let [a, b, c] = face;
+            if orient(pts[a], pts[b], pts[c], pts[opposite]) > 0.0 {
+                faces.push([a, c, b]);
+            } else {
+                faces.push([a, b, c]);
+            }
+        }
+        for p in 0..pts.len() {
+            if p == i0 || p == i1 || p == i2 || p == i3 {
+                continue;
+            }
+            let visible: Vec<usize> = (0..faces.len())
+                .filter(|&f| {
+                    let [a, b, c] = faces[f];
+                    orient(pts[a], pts[b], pts[c], pts[p]) > EPS
+                })
+                .collect();
+            if visible.is_empty() {
+                continue;
+            }
+            let mut edges: Vec<(usize, usize)> = Vec::new();
+            for &f in &visible {
+                let [a, b, c] = faces[f];
+                edges.extend([(a, b), (b, c), (c, a)]);
+            }
+            let horizon: Vec<(usize, usize)> = edges
+                .iter()
+                .copied()
+                .filter(|&(u, v)| !edges.contains(&(v, u)))
+                .collect();
+            let visible_set: Vec<[usize; 3]> = visible.iter().map(|&f| faces[f]).collect();
+            faces.retain(|f| !visible_set.contains(f));
+            for (u, v) in horizon {
+                faces.push([u, v, p]);
+            }
+        }
+        let volume: f64 = faces
+            .iter()
+            .map(|&[a, b, c]| dot(pts[a], cross(pts[b], pts[c])) / 6.0)
+            .sum();
+        volume.abs()
+    }
+
+    mod tests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// splitmix64: the cloud generator's stream.
+        struct Rng(u64);
+
+        impl Rng {
+            fn next_u64(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            }
+
+            fn below(&mut self, bound: u64) -> u64 {
+                self.next_u64() % bound
+            }
+
+            fn unit(&mut self) -> f64 {
+                (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+            }
+
+            /// A value on the 1/6 grid, as PRA win rates over six
+            /// opponents are.
+            fn sixth(&mut self) -> f64 {
+                self.below(7) as f64 / 6.0
+            }
+        }
+
+        /// A PRA-like cloud: R and A on the 1/6 grid, P continuous, on the
+        /// grid or tied at 1; some points repeat an earlier one, some lie
+        /// in the plane P = 1/2, and now and then one is not finite.
+        fn cloud(seed: u64, n: usize, planar_share: u64) -> Vec<P3> {
+            let mut rng = Rng(seed);
+            let mut pts: Vec<P3> = Vec::with_capacity(n);
+            for _ in 0..n {
+                let p = match rng.below(10) {
+                    _ if !pts.is_empty() && rng.below(5) == 0 => {
+                        pts[rng.below(pts.len() as u64) as usize]
+                    }
+                    0 if rng.below(8) == 0 => [f64::NAN, rng.sixth(), rng.sixth()],
+                    0..=2 => [1.0, rng.sixth(), rng.sixth()],
+                    3..=5 => [rng.sixth(), rng.sixth(), rng.sixth()],
+                    _ => [rng.unit(), rng.sixth(), rng.sixth()],
+                };
+                if rng.below(10) < planar_share {
+                    pts.push([0.5, p[1], p[2]]);
+                } else {
+                    pts.push(p);
+                }
+            }
+            pts
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            #[test]
+            fn hull_matches_reference(
+                seed in any::<u64>(),
+                n in 0usize..120,
+                planar_share in 0u64..11,
+            ) {
+                let pts = cloud(seed, n, planar_share);
+                prop_assert_eq!(
+                    crate::hull::convex_hull_volume(&pts).to_bits(),
+                    convex_hull_volume(&pts).to_bits(),
+                    "points = {:?}", pts
+                );
+            }
+
+            #[test]
+            fn hull_matches_reference_on_continuous_clouds(
+                seed in any::<u64>(),
+                n in 0usize..80,
+            ) {
+                let mut rng = Rng(seed);
+                let pts: Vec<P3> = (0..n).map(|_| [rng.unit(), rng.unit(), rng.unit()]).collect();
+                prop_assert_eq!(
+                    crate::hull::convex_hull_volume(&pts).to_bits(),
+                    convex_hull_volume(&pts).to_bits(),
+                    "points = {:?}", pts
+                );
+            }
+        }
     }
 }
