@@ -17,7 +17,7 @@ use crate::model::{AttackContext, AttackModel};
 use dsa_core::cache::{read_stamped, write_stamped, SweepKey};
 use dsa_core::domain::{fnv1a, DynDomain, Effort};
 use dsa_core::parallel::parallel_map_indexed;
-use dsa_core::results::{quote_csv, split_csv};
+use dsa_core::results::{check_csv_field, quote_csv, split_csv};
 use dsa_workloads::seeds::SeedSeq;
 use std::path::{Path, PathBuf};
 
@@ -263,8 +263,13 @@ impl AttackSweep {
     ///
     /// # Errors
     ///
-    /// Returns an error when the directory or file cannot be written.
+    /// Returns an error when a protocol name holds a line break (see
+    /// [`check_csv_field`]), before anything is written, and when the
+    /// directory or file cannot be written.
     pub fn store(&self, out_dir: &Path) -> Result<PathBuf, String> {
+        for name in &self.names {
+            check_csv_field(name)?;
+        }
         let path = self.path(out_dir);
         write_stamped(&path, &self.key, &self.to_csv())?;
         Ok(path)
@@ -392,6 +397,26 @@ mod tests {
         assert_eq!(budgets, s.budgets);
         assert_eq!(names, s.names);
         assert_eq!(rob, s.robustness);
+    }
+
+    #[test]
+    fn store_rejects_a_line_break_and_round_trips_commas_and_quotes() {
+        let dir = std::env::temp_dir().join(format!("dsa-attack-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = fake();
+        for bad in ["two\nlines", "a\rb"] {
+            s.names[2] = bad.into();
+            let err = s.store(&dir).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(!dir.exists(), "a rejected store left {}", dir.display());
+        }
+        s.names[2] = "\"quoted\", too".into();
+        s.store(&dir).unwrap();
+        let back = AttackSweep::load(&s.key, &s.model, &s.budgets, &dir)
+            .unwrap()
+            .unwrap();
+        assert_eq!(back.names, s.names);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Characters that exercise the splitter: quotes, separators, a

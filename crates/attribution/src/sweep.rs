@@ -34,7 +34,7 @@ use crate::fit::{attribute_axis, interaction_scan, DimEffect, InteractionEffect}
 use crate::response::ResponseSurface;
 use dsa_core::cache::{read_stamped, write_stamped, SweepKey};
 use dsa_core::domain::{fnv1a, DynDomain};
-use dsa_core::results::{quote_csv, split_csv};
+use dsa_core::results::{check_csv_field, quote_csv, split_csv};
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
@@ -258,8 +258,20 @@ impl AttribTable {
     ///
     /// # Errors
     ///
-    /// Returns an error when the directory or file cannot be written.
+    /// Returns an error when an axis or dimension name holds a line break (see
+    /// [`check_csv_field`]), before anything is written, and when the
+    /// directory or file cannot be written.
     pub fn store(&self, out_dir: &Path) -> Result<PathBuf, String> {
+        for axis in &self.axes {
+            check_csv_field(&axis.axis)?;
+            for d in &axis.dims {
+                check_csv_field(&d.name)?;
+            }
+            for i in &axis.interactions {
+                check_csv_field(&i.dim_a)?;
+                check_csv_field(&i.dim_b)?;
+            }
+        }
         let path = self.path(out_dir);
         write_stamped(&path, &self.key, &self.to_csv())?;
         Ok(path)
@@ -582,6 +594,25 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn store_rejects_a_line_break_and_round_trips_commas_and_quotes() {
+        let dir = std::env::temp_dir().join(format!("dsa-attrib-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut t = fake();
+        t.axes[1].interactions[0].dim_b = "B\r\n".into();
+        let err = t.store(&dir).unwrap_err();
+        assert!(err.contains(r#""B\r\n""#), "{err}");
+        assert!(!dir.exists(), "a rejected store left {}", dir.display());
+        t.axes[1].interactions[0].dim_b = "\"B\", quoted".into();
+        t.store(&dir).unwrap();
+        let back = AttribTable::load(&t.key, &t.response, &dir)
+            .unwrap()
+            .unwrap();
+        assert_eq!(back.axes[0].dims[0].name, "A, with comma");
+        assert_eq!(back.axes[1].interactions[0].dim_b, "\"B\", quoted");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

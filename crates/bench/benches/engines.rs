@@ -7,6 +7,7 @@ use dsa_btsim::choker::ClientKind;
 use dsa_btsim::config::BtConfig;
 use dsa_btsim::swarm::simulate;
 use dsa_core::results::PraResults;
+use dsa_core::sim::EncounterSim;
 use dsa_gametheory::axelrod::{round_robin, TournamentConfig};
 use dsa_gametheory::games::prisoners_dilemma;
 use dsa_gametheory::strategy::classic_field;
@@ -134,6 +135,34 @@ fn bench_engines(c: &mut Criterion) {
                 black_box(&rep_paper_cfg),
                 7,
             )
+        })
+    });
+
+    // The `rep-exhaustive` cell: 50/50 encounters of the whole space at
+    // the smoke config (16 peers × 40 rounds), one per iteration over a
+    // fixed stride of 96 ordered pairs, so every source, response and
+    // stranger policy is in the mix.
+    let rep_cell = dsa_reputation::RepSim {
+        config: dsa_reputation::engine::RepConfig::fast(),
+    };
+    let rep_pairs: Vec<(dsa_reputation::RepProtocol, dsa_reputation::RepProtocol)> = (0..96)
+        .map(|m| {
+            let a = (m * 37) % dsa_reputation::REP_SPACE_SIZE;
+            let b = (m * 101 + 13) % dsa_reputation::REP_SPACE_SIZE;
+            (
+                dsa_reputation::RepProtocol::from_index(a),
+                dsa_reputation::RepProtocol::from_index(b),
+            )
+        })
+        .collect();
+    c.bench_function("rep_pairs_16peers_40rounds", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for (seed, (x, y)) in rep_pairs.iter().enumerate() {
+                let (ua, ub) = rep_cell.run_encounter(x, y, 0.5, seed as u64);
+                acc += ua + ub;
+            }
+            acc
         })
     });
 

@@ -412,6 +412,12 @@ fn effort_flag(flags: &Flags) -> Result<Effort, String> {
 
 fn churn_flag(domain: &dyn DynDomain, flags: &Flags) -> Result<f64, String> {
     let churn = flag(flags, "churn", 0.0f64)?;
+    // The per-round departure probability of every peer.
+    if !(0.0..=1.0).contains(&churn) {
+        return Err(format!(
+            "--churn is a per-round probability and must lie in [0, 1], got {churn}"
+        ));
+    }
     if churn > 0.0 && !domain.supports_churn() {
         return Err(format!(
             "the {} domain's simulator has no churn model",

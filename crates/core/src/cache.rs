@@ -448,8 +448,13 @@ impl DomainSweep {
     ///
     /// # Errors
     ///
-    /// Returns an error when the directory or file cannot be written.
+    /// Returns an error when a protocol name holds a line break (see
+    /// [`crate::results::check_csv_field`]), before anything is written,
+    /// and when the directory or file cannot be written.
     pub fn store(&self, out_dir: &Path) -> Result<PathBuf, String> {
+        for name in &self.names {
+            crate::results::check_csv_field(name)?;
+        }
         let path = self.key.cache_path(out_dir);
         write_stamped(&path, &self.key, &self.results.to_csv(Some(&self.names)))?;
         dsa_obs::incr("cache.store");
@@ -600,6 +605,29 @@ mod tests {
                     0,g0,1,1,1,1\n1,g1,1,1,1,1\n2,g2,1,1,1,1\n3,g3,1,1,1,1\n4,g4,1,1,1,1\n";
         std::fs::write(key.cache_path(&dir), body).unwrap();
         assert!(DomainSweep::load(&key, &dir).unwrap().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_name_with_a_line_break_is_rejected_before_writing() {
+        let dir = temp_dir("linebreak");
+        let domain = erase(ToyDomain);
+        let mut sweep =
+            DomainSweep::load_or_compute(&*domain, Effort::Smoke, &config(), "smoke", &dir)
+                .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        for bad in ["two\nlines", "carriage\rreturn", "\r\n"] {
+            sweep.names[1] = bad.to_string();
+            let err = sweep.store(&dir).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(!dir.exists(), "a rejected store left {}", dir.display());
+        }
+        // Commas and quotes are quoted and still round-trip.
+        sweep.names[1] = "a, \"quoted\" name".to_string();
+        sweep.names[2] = ",\"\",".to_string();
+        sweep.store(&dir).unwrap();
+        let back = DomainSweep::load(&sweep.key, &dir).unwrap().unwrap();
+        assert_eq!(back.names, sweep.names);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,8 @@
-//! The allocating CSV splitter and the sorting rank that
-//! [`crate::results::split_csv`] and [`PraResults::rank_of`] replaced,
-//! kept as test references: the production code must return exactly
-//! what they return.
+//! The allocating CSV splitter, the sorting rank and the
+//! measure-per-comparison ranking that [`crate::results::split_csv`],
+//! [`PraResults::rank_of`] and [`PraResults::ranked_by`] replaced, kept as
+//! test references: the production code must return exactly what they
+//! return.
 
 use crate::pra::PraPoint;
 use crate::results::PraResults;
@@ -30,10 +31,23 @@ fn split_csv(line: &str) -> Vec<String> {
     out
 }
 
+/// Protocol indices sorted best-first, evaluating the measure on both
+/// sides of every comparison.
+fn ranked_by(results: &PraResults, measure: impl Fn(&PraPoint) -> f64) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..results.len()).collect();
+    idx.sort_by(|&a, &b| {
+        let va = measure(&results.point(a));
+        let vb = measure(&results.point(b));
+        vb.partial_cmp(&va)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    idx
+}
+
 /// 1-based position of `i` in the stable best-first sort.
 fn rank_of(results: &PraResults, i: usize, measure: impl Fn(&PraPoint) -> f64) -> usize {
-    results
-        .ranked_by(measure)
+    ranked_by(results, measure)
         .iter()
         .position(|&x| x == i)
         .map_or(0, |p| p + 1)
@@ -126,6 +140,23 @@ mod tests {
             } else {
                 prop_assert!(back_names.iter().all(String::is_empty));
             }
+        }
+
+        /// The same permutation as the measure-per-comparison sort, over
+        /// ties and NaN. A NaN makes the comparator inconsistent, and the
+        /// standard sort may then panic: both sides must do the same.
+        #[test]
+        fn ranked_by_matches_reference(
+            values in vec(prop_oneof![tied(), Just(f64::NAN)], 0..80),
+        ) {
+            let n = values.len();
+            let r = PraResults::new(vec![0.0; n], values.clone(), vec![0.0; n], vec![0.0; n]);
+            let quiet = |f: &dyn Fn() -> Vec<usize>| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok()
+            };
+            let got = quiet(&|| r.ranked_by(|p| p.performance));
+            let want = quiet(&|| ranked_by(&r, |p| p.performance));
+            prop_assert_eq!(got, want, "values = {:?}", values);
         }
 
         #[test]

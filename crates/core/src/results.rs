@@ -67,14 +67,20 @@ impl PraResults {
         }
     }
 
-    /// Protocol indices sorted best-first by the given measure extractor.
+    /// Protocol indices sorted best-first by the given measure extractor:
+    /// greater values first (a NaN compares equal to everything), ties by
+    /// index.
+    ///
+    /// The measure runs once per protocol, not once per comparison; the
+    /// stable sort then compares the stored values exactly as it would
+    /// compare recomputed ones, so the permutation is the same.
     #[must_use]
     pub fn ranked_by(&self, measure: impl Fn(&PraPoint) -> f64) -> Vec<usize> {
+        let keys: Vec<f64> = (0..self.len()).map(|i| measure(&self.point(i))).collect();
         let mut idx: Vec<usize> = (0..self.len()).collect();
         idx.sort_by(|&a, &b| {
-            let va = measure(&self.point(a));
-            let vb = measure(&self.point(b));
-            vb.partial_cmp(&va)
+            keys[b]
+                .partial_cmp(&keys[a])
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
@@ -189,6 +195,29 @@ pub fn quote_csv(s: &str) -> String {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
+    }
+}
+
+/// Rejects a text field that a stamped cache could write but not read
+/// back.
+///
+/// [`quote_csv`] quotes a line break, but every cache reader splits its
+/// body with `str::lines()`, so a field holding `\n` would leave a cache
+/// that fails as corrupt on every later run. A `\r` is rejected with it:
+/// `lines()` drops one that ends a line, and other CSV readers break lines
+/// at it. Every cache `store` checks its text fields with this before it
+/// writes anything.
+///
+/// # Errors
+///
+/// Returns an error that names the field when it holds a line break.
+pub fn check_csv_field(field: &str) -> Result<(), String> {
+    if field.contains(['\n', '\r']) {
+        Err(format!(
+            "cannot cache the field {field:?}: a cache row cannot hold a line break"
+        ))
+    } else {
+        Ok(())
     }
 }
 

@@ -14,7 +14,7 @@
 use crate::payoff::{empirical_matrix, EvoConfig, PayoffMatrix};
 use dsa_core::cache::{read_stamped, write_stamped, SweepKey};
 use dsa_core::domain::{fnv1a, DynDomain, Effort};
-use dsa_core::results::{quote_csv, split_csv};
+use dsa_core::results::{check_csv_field, quote_csv, split_csv};
 use std::path::{Path, PathBuf};
 
 /// A cached (or freshly measured) payoff matrix with its key and
@@ -164,8 +164,13 @@ impl EvoSweep {
     ///
     /// # Errors
     ///
-    /// Returns an error when the directory or file cannot be written.
+    /// Returns an error when a protocol name holds a line break (see
+    /// [`check_csv_field`]), before anything is written, and when the
+    /// directory or file cannot be written.
     pub fn store(&self, out_dir: &Path) -> Result<PathBuf, String> {
+        for name in &self.matrix.names {
+            check_csv_field(name)?;
+        }
         let path = self.path(out_dir);
         write_stamped(&path, &self.key, &self.to_csv())?;
         Ok(path)
@@ -274,6 +279,25 @@ mod tests {
         let (names, payoff) = parse_body(&s.to_csv(), 2).unwrap();
         assert_eq!(names, s.matrix.names);
         assert_eq!(payoff, s.matrix.payoff);
+    }
+
+    #[test]
+    fn store_rejects_a_line_break_and_round_trips_commas_and_quotes() {
+        let dir = std::env::temp_dir().join(format!("dsa-evo-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = fake();
+        for bad in ["two\nlines", "a\rb"] {
+            s.matrix.names[0] = bad.into();
+            let err = s.store(&dir).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(!dir.exists(), "a rejected store left {}", dir.display());
+        }
+        s.matrix.names[0] = "\"quoted\", too".into();
+        let path = s.store(&dir).unwrap();
+        let body = read_stamped(&path, &s.key).unwrap().unwrap();
+        let (names, _) = parse_body(&body, 2).unwrap();
+        assert_eq!(names, s.matrix.names);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Characters that exercise the splitter: quotes, separators, a

@@ -15,7 +15,7 @@ use crate::protocol::{Identity, Maintenance, RepProtocol, Response, Source, Stra
 use dsa_workloads::bandwidth::BandwidthDist;
 use dsa_workloads::churn::ChurnModel;
 use dsa_workloads::rng::Xoshiro256pp;
-use dsa_workloads::sampling;
+use dsa_workloads::sampling::{self, IndexSampler, SMALL_K};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,33 +116,46 @@ impl LedgerMat {
             + vec_bytes(&self.seen)
     }
 
-    /// Folds owner `i`'s round contributions into its opinion row.
-    fn end_round(&mut self, i: usize, maintenance: Maintenance, decay: f64) {
-        let row = i * self.n..(i + 1) * self.n;
-        let opinion = &mut self.opinion[row.clone()];
-        let accum = &mut self.accum[row];
-        match maintenance {
-            Maintenance::Keep => {
-                for (o, a) in opinion.iter_mut().zip(accum.iter()) {
-                    *o += a;
+    /// Folds every owner's round contributions into its opinion row and
+    /// clears them, in one pass over the matrix. A Keep or Decay row is
+    /// `o · f + a` with its owner's retention factor `f`: 1 under Keep,
+    /// where `o · 1.0 + a` is bit-equal to `o + a`. A Window row swaps its
+    /// oldest ring slot out.
+    fn end_round(&mut self, protocols: &[RepProtocol], assignment: &[usize], decay: f64) {
+        let Self {
+            n,
+            window,
+            opinion,
+            accum,
+            ring,
+            ring_pos,
+            ..
+        } = self;
+        let rows = opinion.chunks_exact_mut(*n).zip(accum.chunks_exact_mut(*n));
+        for (i, (opinion, accum)) in rows.enumerate() {
+            let factor = match protocols[assignment[i]].maintenance {
+                Maintenance::Keep => 1.0,
+                Maintenance::Decay => decay,
+                Maintenance::Window => {
+                    let base = (i * *window + ring_pos[i]) * *n;
+                    let oldest = &mut ring[base..base + *n];
+                    for ((o, a), old) in opinion.iter_mut().zip(accum.iter_mut()).zip(oldest) {
+                        *o += *a - *old;
+                        *old = *a;
+                        *a = 0.0;
+                    }
+                    ring_pos[i] += 1;
+                    if ring_pos[i] == *window {
+                        ring_pos[i] = 0;
+                    }
+                    continue;
                 }
-            }
-            Maintenance::Decay => {
-                for (o, a) in opinion.iter_mut().zip(accum.iter()) {
-                    *o = *o * decay + a;
-                }
-            }
-            Maintenance::Window => {
-                let base = i * self.window * self.n + self.ring_pos[i] * self.n;
-                let oldest = &mut self.ring[base..base + self.n];
-                for ((o, a), old) in opinion.iter_mut().zip(accum.iter()).zip(oldest) {
-                    *o += a - *old;
-                    *old = *a;
-                }
-                self.ring_pos[i] = (self.ring_pos[i] + 1) % self.window;
+            };
+            for (o, a) in opinion.iter_mut().zip(accum.iter_mut()) {
+                *o = *o * factor + *a;
+                *a = 0.0;
             }
         }
-        accum.fill(0.0);
     }
 
     /// Erases every trace of peer `p` from owner `i`'s ledger
@@ -173,11 +186,12 @@ impl LedgerMat {
 }
 
 /// Reusable working memory for [`run_with_scratch`]: request lists
-/// (flattened), the grant buffer, the per-decision scoring buffers and
-/// the two index samplers, allocated once and recycled across runs.
-/// After one warm run at a given population size, subsequent runs
-/// through the same scratch perform zero steady-state heap allocations
-/// per round (enforced by the `alloc_count` tests in `dsa-bench`).
+/// (flattened), the round's grant marks, the per-decision scoring buffers
+/// and the large-sample fallback samplers, allocated once and recycled
+/// across runs. After one warm run at a given population size, subsequent
+/// runs through the same scratch perform zero steady-state heap
+/// allocations per round (enforced by the `alloc_count` tests in
+/// `dsa-bench`).
 ///
 /// A scratch carries no results between runs — every buffer is resized
 /// and cleared before being read — so reusing one (even dirty, from a
@@ -189,12 +203,13 @@ pub struct RepScratch {
     /// in deterministic order.
     req_data: Vec<usize>,
     req_len: Vec<usize>,
-    /// One peer's outgoing request targets (per-peer transient).
+    /// Request draws of more than [`SMALL_K`] targets: the sampler (from
+    /// `0..n-1`) and its output.
+    req_sampler: IndexSampler,
     req_out: Vec<usize>,
-    /// Sampler for the request phase (draws from `0..n-1`).
-    req_sampler: sampling::IndexSampler,
-    /// Round's buffered grants `(server, requester, amount)`.
-    grants: Vec<(usize, usize, f64)>,
+    /// The round's grants as `(server, requester)`: their `seen` marks
+    /// wait until every decision has read the start-of-round ledgers.
+    marks: Vec<(usize, usize)>,
     decision: DecisionScratch,
     /// Run state, reused across runs: the flat ledger matrices and the
     /// per-peer capacity / accumulated-utility vectors. Fully
@@ -214,9 +229,9 @@ impl RepScratch {
         use dsa_obs::mem::vec_bytes;
         vec_bytes(&self.req_data)
             + vec_bytes(&self.req_len)
-            + vec_bytes(&self.req_out)
             + self.req_sampler.footprint()
-            + vec_bytes(&self.grants)
+            + vec_bytes(&self.req_out)
+            + vec_bytes(&self.marks)
             + self.decision.footprint()
             + self.ledgers.footprint()
             + vec_bytes(&self.capacity)
@@ -227,35 +242,85 @@ impl RepScratch {
 /// Buffers for one server's allocation decision.
 #[derive(Debug, Default)]
 struct DecisionScratch {
-    scores: Vec<Option<f64>>,
-    admitted: Vec<Option<f64>>,
+    /// Per requester: whether any consulted channel has a record of it,
+    /// and its score.
+    scores: Vec<(bool, f64)>,
     weights: Vec<f64>,
-    /// RankBased: admitted requester positions, their shuffled order,
-    /// the shuffled score values, and the ranking over those values.
-    eligible: Vec<usize>,
+    /// RankBased: admitted requester positions (shuffled in place), the
+    /// score values in that order, and the ranking over those values.
     order: Vec<usize>,
     values: Vec<f64>,
     ranks: Vec<usize>,
-    /// Sampler + buffer for the gossip-witness draws (from `0..n`).
-    gossip_sampler: sampling::IndexSampler,
-    gossip_out: Vec<usize>,
-    /// EigenTrust witness buffer: (trust in witness, witness's opinion).
-    witnesses: Vec<(f64, f64)>,
+    /// One witness draw of at most [`SMALL_K`] peers.
+    picks: [usize; SMALL_K],
+    /// Witness draws of more than [`SMALL_K`] peers (from `0..n`), and
+    /// EigenTrust's (trust, opinion) buffer for them.
+    sampler: IndexSampler,
+    spill: Vec<usize>,
+    pairs: Vec<(f64, f64)>,
 }
 
 impl DecisionScratch {
+    /// [`score`] through the source `SRC`, drawing its witnesses.
+    #[inline(always)]
+    fn score<const SRC: u8>(
+        &mut self,
+        s: usize,
+        r: usize,
+        records: &Records,
+        config: &RepConfig,
+        rng: &mut Xoshiro256pp,
+    ) -> (bool, f64) {
+        if SRC == PRIVATE {
+            return score::<SRC>(s, r, records, &[], &mut []);
+        }
+        let witnesses = draw(
+            records.n,
+            config.gossip_sources,
+            rng,
+            &mut self.picks,
+            &mut self.sampler,
+            &mut self.spill,
+        );
+        if SRC == EIGENTRUST && witnesses.len() > SMALL_K {
+            self.pairs.clear();
+            self.pairs.resize(witnesses.len(), (0.0, 0.0));
+            return score::<SRC>(s, r, records, witnesses, &mut self.pairs);
+        }
+        score::<SRC>(s, r, records, witnesses, &mut [(0.0, 0.0); SMALL_K])
+    }
+
     fn footprint(&self) -> usize {
         use dsa_obs::mem::vec_bytes;
         vec_bytes(&self.scores)
-            + vec_bytes(&self.admitted)
             + vec_bytes(&self.weights)
-            + vec_bytes(&self.eligible)
             + vec_bytes(&self.order)
             + vec_bytes(&self.values)
             + vec_bytes(&self.ranks)
-            + self.gossip_sampler.footprint()
-            + vec_bytes(&self.gossip_out)
-            + vec_bytes(&self.witnesses)
+            + self.sampler.footprint()
+            + vec_bytes(&self.spill)
+            + vec_bytes(&self.pairs)
+    }
+}
+
+/// Draws `k` distinct indices from `0..n`: into `picks` when `k` fits,
+/// through `sampler` into `spill` otherwise. Both make the draws of
+/// [`sampling::sample_indices_into`], so the stream is the same either way.
+#[inline(always)]
+fn draw<'a>(
+    n: usize,
+    k: usize,
+    rng: &mut Xoshiro256pp,
+    picks: &'a mut [usize; SMALL_K],
+    sampler: &mut IndexSampler,
+    spill: &'a mut Vec<usize>,
+) -> &'a [usize] {
+    if k <= SMALL_K {
+        let len = sampling::sample_small(n, k, rng, picks);
+        &picks[..len]
+    } else {
+        sampler.sample_into(n, k, rng, spill);
+        spill
     }
 }
 
@@ -363,101 +428,86 @@ pub fn run_with_scratch(
     let RepScratch {
         req_data,
         req_len,
-        req_out,
         req_sampler,
-        grants,
+        req_out,
+        marks,
         decision,
         ledgers,
         capacity,
         received,
     } = scratch;
-    // Maintenance is fusable across owners when every assigned protocol
-    // ages records the same non-windowed way.
-    let uniform_maintenance = {
-        let first = protocols[assignment[0]].maintenance;
-        (first != Maintenance::Window
-            && assignment
-                .iter()
-                .all(|&a| protocols[a].maintenance == first))
-        .then_some(first)
-    };
+    let mut picks = [0; SMALL_K];
     for round in 0..config.rounds {
         // 1. Every peer issues its requests to distinct random targets.
         // Request lists are rebuilt each round: `req_data` row `s` holds
         // the peers that asked `s` for service, in deterministic order.
-        {
-            req_len.fill(0);
-            for i in 0..n {
-                req_sampler.sample_into(n - 1, config.requests, &mut rng, req_out);
-                for &t in req_out.iter() {
-                    let target = if t >= i { t + 1 } else { t };
-                    req_data[target * n + req_len[target]] = i;
-                    req_len[target] += 1;
-                }
+        req_len.fill(0);
+        for i in 0..n {
+            let targets = draw(
+                n - 1,
+                config.requests,
+                &mut rng,
+                &mut picks,
+                req_sampler,
+                req_out,
+            );
+            for &t in targets {
+                // Slot `t` of the n − 1 peers other than `i`.
+                let target = t + usize::from(t >= i);
+                let len = &mut req_len[target];
+                req_data[target * n + *len] = i;
+                *len += 1;
             }
         }
 
-        // 2. Every peer allocates its capacity among its requesters.
-        // Grants are buffered and applied after all decisions, so every
-        // decision sees the same start-of-round ledgers regardless of
-        // peer iteration order.
-        {
-            grants.clear();
-            for s in 0..n {
-                let proto = &protocols[assignment[s]];
-                let requesters = &req_data[s * n..s * n + req_len[s]];
-                if proto.response == Response::Freeride || requesters.is_empty() {
-                    continue;
-                }
-                decision_weights(s, requesters, proto, ledgers, config, &mut rng, decision);
-                let weights = &decision.weights;
-                let total: f64 = weights.iter().sum();
-                if total <= 0.0 {
-                    continue;
-                }
-                for (&r, &w) in requesters.iter().zip(weights) {
-                    if w > 0.0 {
-                        grants.push((s, r, capacity[s] * w / total));
-                    }
-                }
+        // 2. Every peer allocates its capacity among its requesters. A
+        // grant adds to the requester's utility and to its opinion of the
+        // server as it is made, in server-major, requester order: neither
+        // is read by a decision. The `seen` marks wait in `marks`, so
+        // every decision reads the same start-of-round ledgers whatever
+        // the server order.
+        marks.clear();
+        let records = Records {
+            n,
+            opinion: &ledgers.opinion,
+            seen: &ledgers.seen,
+        };
+        let mut grants = Grants {
+            n,
+            received,
+            accum: &mut ledgers.accum,
+            marks,
+        };
+        for s in 0..n {
+            let proto = &protocols[assignment[s]];
+            let requesters = &req_data[s * n..s * n + req_len[s]];
+            if proto.response == Response::Freeride || requesters.is_empty() {
+                continue;
             }
+            let server = Server {
+                s,
+                capacity: capacity[s],
+                requesters,
+                proto,
+            };
+            let decide = match proto.source {
+                Source::Private => decide::<PRIVATE>,
+                Source::Gossiped => decide::<GOSSIPED>,
+                Source::Transitive => decide::<TRANSITIVE>,
+                Source::EigenTrust => decide::<EIGENTRUST>,
+            };
+            decide(&server, &records, config, &mut rng, decision, &mut grants);
         }
 
-        // 3. Apply grants: service flows server → requester; the
-        // requester's opinion of the server grows; both sides are no
-        // longer strangers to each other.
-        for &(s, r, amount) in grants.iter() {
-            received[r] += amount;
-            ledgers.accum[r * n + s] += amount;
+        // 3. Both sides of every grant are no longer strangers to each
+        // other.
+        for &(s, r) in marks.iter() {
             ledgers.seen[r * n + s] = true;
             ledgers.seen[s * n + r] = true;
         }
 
-        // 4. Record maintenance. Homogeneous Keep/Decay populations (the
-        // common case) fold the whole matrix in one fused pass — row
-        // order is preserved, so the arithmetic is per-cell identical to
-        // the per-owner loop it shortcuts.
-        match uniform_maintenance {
-            Some(Maintenance::Keep) => {
-                for (o, a) in ledgers.opinion.iter_mut().zip(ledgers.accum.iter()) {
-                    *o += a;
-                }
-                ledgers.accum.fill(0.0);
-            }
-            Some(Maintenance::Decay) => {
-                let decay = config.decay;
-                for (o, a) in ledgers.opinion.iter_mut().zip(ledgers.accum.iter()) {
-                    *o = *o * decay + a;
-                }
-                ledgers.accum.fill(0.0);
-            }
-            _ => {
-                for i in 0..n {
-                    let m = protocols[assignment[i]].maintenance;
-                    ledgers.end_round(i, m, config.decay);
-                }
-            }
-        }
+        // 4. Record maintenance.
+        ledgers.end_round(protocols, assignment, config.decay);
 
         // 5. Whitewashing: the peer re-enters under a fresh pseudonym, so
         // everyone else's record of it vanishes; its own knowledge (and
@@ -511,221 +561,220 @@ pub fn run_with_scratch(
     out
 }
 
-/// Computes the allocation weight of every requester of server `s` into
-/// `ds.weights` (same length and values as the old allocating version).
-fn decision_weights(
+/// The start-of-round ledgers every decision of a round reads.
+struct Records<'a> {
+    n: usize,
+    opinion: &'a [f64],
+    seen: &'a [bool],
+}
+
+/// Where a round's grants go as they are made.
+struct Grants<'a> {
+    n: usize,
+    received: &'a mut [f64],
+    accum: &'a mut [f64],
+    marks: &'a mut Vec<(usize, usize)>,
+}
+
+impl Grants<'_> {
+    /// Service flows from server `s` to requester `r`, whose opinion of
+    /// `s` grows by the same amount.
+    #[inline]
+    fn grant(&mut self, s: usize, r: usize, amount: f64) {
+        self.received[r] += amount;
+        self.accum[r * self.n + s] += amount;
+        self.marks.push((s, r));
+    }
+}
+
+/// One server's side of a decision.
+struct Server<'a> {
     s: usize,
-    requesters: &[usize],
-    proto: &RepProtocol,
-    led: &LedgerMat,
+    capacity: f64,
+    requesters: &'a [usize],
+    proto: &'a RepProtocol,
+}
+
+/// The [`Source`]s as `decide`'s and `score`'s const parameter.
+const PRIVATE: u8 = 0;
+const GOSSIPED: u8 = 1;
+const TRANSITIVE: u8 = 2;
+const EIGENTRUST: u8 = 3;
+
+/// Divides server `s`'s capacity among its requesters, one kernel per
+/// source. Unless the stranger policy draws admissions (Probabilistic) or
+/// the response draws a tie-break (RankBased), the only draws are the
+/// source's, and each requester is scored and weighed in one pass.
+/// Otherwise every requester is scored first, which makes all the
+/// source's draws in requester order; one walk over the scores then draws
+/// each Probabilistic stranger's admission in requester order, and
+/// RankBased's tie-break shuffle after that.
+fn decide<const SRC: u8>(
+    server: &Server,
+    records: &Records,
     config: &RepConfig,
     rng: &mut Xoshiro256pp,
     ds: &mut DecisionScratch,
+    grants: &mut Grants,
 ) {
-    // Fast path: unless the stranger policy draws admission randomness
-    // (Probabilistic) or the response draws tie-break randomness
-    // (RankBased), the score → admission → weight chain is pointwise, so
-    // the three passes fuse into one loop whose only RNG consumption is
-    // the source lookups — the same stream the staged path consumes.
-    if proto.stranger != Stranger::Probabilistic && proto.response != Response::RankBased {
-        ds.weights.clear();
-        for &r in requesters {
-            let score = source_score(
-                s,
-                r,
-                proto.source,
-                led,
-                config,
-                rng,
-                &mut ds.gossip_sampler,
-                &mut ds.gossip_out,
-                &mut ds.witnesses,
-            );
-            let w = match score {
-                Some(v) => match proto.response {
-                    Response::Freeride => 0.0,
-                    Response::ThresholdBan => f64::from(u8::from(v > config.threshold)),
-                    Response::Proportional => v.max(0.0),
-                    Response::RankBased => unreachable!(),
-                },
-                None => match proto.stranger {
-                    Stranger::Deny => 0.0,
-                    // Admitted strangers ride on the unit bootstrap
-                    // under both remaining response functions.
-                    Stranger::Optimistic => {
-                        f64::from(u8::from(proto.response != Response::Freeride))
-                    }
-                    Stranger::Probabilistic => unreachable!(),
-                },
-            };
-            ds.weights.push(if w.is_finite() { w } else { 0.0 });
+    let Server {
+        s,
+        capacity,
+        requesters,
+        proto,
+    } = *server;
+    let threshold_ban = proto.response == Response::ThresholdBan;
+    // A known requester's weight: it must beat the threshold, or it
+    // weighs its (non-negative) score.
+    let weigh = |v: f64| {
+        let w = if threshold_ban {
+            f64::from(u8::from(v > config.threshold))
+        } else {
+            v.max(0.0)
+        };
+        if w.is_finite() {
+            w
+        } else {
+            0.0
         }
-        return;
-    }
-
-    // Score every requester through the protocol's reputation source;
-    // None marks strangers (no record through any channel).
-    ds.scores.clear();
-    for &r in requesters {
-        let score = source_score(
-            s,
-            r,
-            proto.source,
-            led,
-            config,
-            rng,
-            &mut ds.gossip_sampler,
-            &mut ds.gossip_out,
-            &mut ds.witnesses,
-        );
-        ds.scores.push(score);
-    }
-
-    // Stranger policy: admitted strangers enter the response function at
-    // the baseline score 0 with unit bootstrap weight.
-    ds.admitted.clear();
-    for score in &ds.scores {
-        ds.admitted.push(match score {
-            Some(v) => Some(*v),
-            None => match proto.stranger {
-                Stranger::Deny => None,
-                Stranger::Optimistic => Some(0.0),
-                Stranger::Probabilistic => rng.chance(config.optimism).then_some(0.0),
-            },
-        });
-    }
-
+    };
     ds.weights.clear();
-    match proto.response {
-        Response::Freeride => ds.weights.resize(requesters.len(), 0.0),
-        Response::ThresholdBan => {
-            ds.weights
-                .extend(ds.admitted.iter().zip(&ds.scores).map(|(adm, known)| {
-                    match (adm, known) {
-                        // Known requesters must beat the threshold;
-                        // admitted strangers ride on the bootstrap.
-                        (Some(v), Some(_)) => f64::from(u8::from(*v > config.threshold)),
-                        (Some(_), None) => 1.0,
-                        (None, _) => 0.0,
-                    }
-                }));
+    if proto.stranger != Stranger::Probabilistic && proto.response != Response::RankBased {
+        // An admitted stranger rides on the unit bootstrap weight.
+        let stranger = f64::from(u8::from(proto.stranger == Stranger::Optimistic));
+        for &r in requesters {
+            let (heard, v) = ds.score::<SRC>(s, r, records, config, rng);
+            ds.weights.push(if heard { weigh(v) } else { stranger });
         }
-        Response::Proportional => {
-            ds.weights
-                .extend(ds.admitted.iter().zip(&ds.scores).map(|(adm, known)| {
-                    match (adm, known) {
-                        (Some(v), Some(_)) => v.max(0.0),
-                        // Bootstrap trickle: strangers weigh one unit.
-                        (Some(_), None) => 1.0,
-                        (None, _) => 0.0,
-                    }
-                }));
+    } else {
+        ds.scores.clear();
+        for &r in requesters {
+            let scored = ds.score::<SRC>(s, r, records, config, rng);
+            ds.scores.push(scored);
         }
-        Response::RankBased => {
+        // Stranger policy: an admitted stranger enters the response
+        // function at the baseline score 0 with unit bootstrap weight.
+        let mut admit = || match proto.stranger {
+            Stranger::Deny => false,
+            Stranger::Optimistic => true,
+            Stranger::Probabilistic => rng.chance(config.optimism),
+        };
+        if proto.response == Response::RankBased {
             // Rank admitted requesters by score; the top half (rounded
             // up) shares capacity equally. Ties break randomly so no
             // index is systematically favoured (cf. gossip's
             // top_partners).
-            ds.eligible.clear();
-            ds.eligible
-                .extend((0..requesters.len()).filter(|&k| ds.admitted[k].is_some()));
-            ds.weights.resize(requesters.len(), 0.0);
-            if ds.eligible.is_empty() {
+            ds.order.clear();
+            for (k, &(heard, _)) in ds.scores.iter().enumerate() {
+                if heard || admit() {
+                    ds.order.push(k);
+                }
+            }
+            if ds.order.is_empty() {
                 return;
             }
-            ds.order.clear();
-            ds.order.extend_from_slice(&ds.eligible);
             sampling::shuffle(&mut ds.order, rng);
             ds.values.clear();
             ds.values
-                .extend(ds.order.iter().map(|&k| ds.admitted[k].unwrap_or(0.0)));
-            let keep = ds.eligible.len().div_ceil(2);
+                .extend(ds.order.iter().map(|&k| match ds.scores[k] {
+                    (true, v) => v,
+                    (false, _) => 0.0,
+                }));
             sampling::rank_indices_into(&ds.values, false, &mut ds.ranks);
-            for &rank in ds.ranks.iter().take(keep) {
-                ds.weights[ds.order[rank]] = 1.0;
+            // Each kept requester weighs 1, so the total is the kept
+            // count and `capacity · 1 / total` is `capacity / total`.
+            let keep = ds.order.len().div_ceil(2);
+            let total = keep as f64;
+            for &rank in &ds.ranks[..keep] {
+                grants.grant(s, requesters[ds.order[rank]], capacity / total);
             }
+            return;
+        }
+        for &(heard, v) in &ds.scores {
+            ds.weights.push(if heard {
+                weigh(v)
+            } else {
+                f64::from(u8::from(admit()))
+            });
         }
     }
-    for w in &mut ds.weights {
-        if !w.is_finite() {
-            *w = 0.0;
+    let total: f64 = ds.weights.iter().sum();
+    if total <= 0.0 {
+        return;
+    }
+    for (&r, &w) in requesters.iter().zip(&ds.weights) {
+        if w > 0.0 {
+            grants.grant(s, r, capacity * w / total);
         }
     }
 }
 
-/// Scores requester `r` from server `s`'s point of view, or `None` if
-/// every consulted channel is silent (a stranger). `sampler`/`gossip_out`
-/// /`witnesses` are caller-owned scratch (contents ignored, clobbered).
-#[allow(clippy::too_many_arguments)]
-fn source_score(
+/// Scores requester `r` from server `s`'s point of view through the
+/// source `SRC` and the sampled `witnesses` (unread by the private
+/// source): whether any consulted channel has a record of `r`, and the
+/// score, which only counts when it does.
+///
+/// The witness sums are branch-free: a witness that does not count adds
+/// −0.0, which under round-to-nearest is the exact additive identity
+/// (`x + −0.0 = x` for every `x`, +0.0 included), so every sum keeps the
+/// bits of one that skips the witness.
+#[inline(always)]
+fn score<const SRC: u8>(
     s: usize,
     r: usize,
-    source: Source,
-    led: &LedgerMat,
-    config: &RepConfig,
-    rng: &mut Xoshiro256pp,
-    sampler: &mut sampling::IndexSampler,
-    gossip_out: &mut Vec<usize>,
-    witnesses: &mut Vec<(f64, f64)>,
-) -> Option<f64> {
-    let n = led.n;
-    let s_seen = &led.seen[s * n..(s + 1) * n];
-    let s_op = &led.opinion[s * n..(s + 1) * n];
-    let own_seen = s_seen[r];
-    let own = s_op[r];
-    if source == Source::Private {
-        return own_seen.then_some(own);
-    }
-    let mut score = if own_seen { own } else { 0.0 };
-    let mut heard = own_seen;
-    sampler.sample_into(n, config.gossip_sources, rng, gossip_out);
-    // The source match sits outside the witness loop so each variant
-    // compiles to its own tight scan over the sampled witnesses.
-    match source {
+    records: &Records,
+    witnesses: &[usize],
+    pairs: &mut [(f64, f64)],
+) -> (bool, f64) {
+    let Records { n, opinion, seen } = *records;
+    let s_seen = &seen[s * n..(s + 1) * n];
+    let s_op = &opinion[s * n..(s + 1) * n];
+    let mut heard = s_seen[r];
+    let mut score = if heard { s_op[r] } else { 0.0 };
+    match SRC {
+        PRIVATE => {}
         // One-hop gossip: take the witness at face value.
-        Source::Gossiped => {
-            for &g in gossip_out.iter() {
-                if g != s && g != r && led.seen[g * n + r] {
-                    score += led.opinion[g * n + r];
-                    heard = true;
-                }
+        GOSSIPED => {
+            for &g in witnesses {
+                let counts = (g != s) & (g != r) & seen[g * n + r];
+                score += if counts { opinion[g * n + r] } else { -0.0 };
+                heard |= counts;
             }
         }
         // BarterCast-style: a witness counts only up to the trust the
         // server places in the witness itself.
-        Source::Transitive => {
-            for &g in gossip_out.iter() {
-                if g != s && g != r && led.seen[g * n + r] && s_seen[g] {
-                    score += led.opinion[g * n + r].min(s_op[g].max(0.0));
-                    heard = true;
-                }
+        TRANSITIVE => {
+            for &g in witnesses {
+                let counts = (g != s) & (g != r) & seen[g * n + r] & s_seen[g];
+                let capped = opinion[g * n + r].min(s_op[g].max(0.0));
+                score += if counts { capped } else { -0.0 };
+                heard |= counts;
             }
         }
         // EigenTrust-style: witnesses split one unit of influence in
         // proportion to the server's (non-negative) trust in them; an
-        // untrusted witness carries no weight at all. Witnesses are
-        // buffered as (trust, opinion) and folded in after the scan,
+        // untrusted witness carries no weight at all. Trusted witnesses
+        // are buffered as (trust, opinion) and folded in after the scan,
         // because the weights normalize over the *total* trust in the
-        // consulted witnesses.
-        Source::EigenTrust => {
-            witnesses.clear();
-            for &g in gossip_out.iter() {
-                if g != s && g != r && led.seen[g * n + r] && s_seen[g] {
-                    let trust = s_op[g].max(0.0);
-                    if trust > 0.0 {
-                        witnesses.push((trust, led.opinion[g * n + r]));
-                    }
-                }
+        // consulted witnesses. Every witness is written to the next free
+        // slot, which only a trusted one keeps.
+        _ => {
+            let mut len = 0;
+            for &g in witnesses {
+                let trust = s_op[g].max(0.0);
+                let counts = (g != s) & (g != r) & seen[g * n + r] & s_seen[g] & (trust > 0.0);
+                pairs[len] = (trust, opinion[g * n + r]);
+                len += usize::from(counts);
             }
-            if !witnesses.is_empty() {
-                let total: f64 = witnesses.iter().map(|(t, _)| t).sum();
-                score += witnesses.iter().map(|(t, o)| (t / total) * o).sum::<f64>();
+            let pairs = &pairs[..len];
+            if !pairs.is_empty() {
+                let total: f64 = pairs.iter().map(|(t, _)| t).sum();
+                score += pairs.iter().map(|(t, o)| (t / total) * o).sum::<f64>();
                 heard = true;
             }
         }
-        Source::Private => unreachable!(),
     }
-    heard.then_some(score)
+    (heard, score)
 }
 
 #[cfg(test)]

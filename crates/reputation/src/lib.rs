@@ -26,6 +26,8 @@ pub mod adapter;
 pub mod engine;
 pub mod presets;
 pub mod protocol;
+#[cfg(test)]
+mod reference;
 
 pub use adapter::{RepDomain, RepSim};
 pub use engine::{run, RepConfig};

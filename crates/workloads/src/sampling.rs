@@ -60,7 +60,7 @@ pub fn sample_indices_into(n: usize, k: usize, rng: &mut Xoshiro256pp, out: &mut
         }
         shuffle(out, rng);
     } else if k <= SMALL_K {
-        small_materialize(n, k, rng, out);
+        small_materialize_into(n, k, rng, out);
     } else {
         out.reserve(n);
         out.extend(0..n);
@@ -72,17 +72,74 @@ pub fn sample_indices_into(n: usize, k: usize, rng: &mut Xoshiro256pp, out: &mut
     }
 }
 
-/// Largest `k` the register-resident materialize path handles.
-const SMALL_K: usize = 4;
+/// Largest `k` the register-resident paths handle: the materialize branch
+/// of [`sample_indices_into`] and the whole of [`sample_small`].
+pub const SMALL_K: usize = 4;
+
+/// [`sample_indices_into`] for `k ≤ SMALL_K`, into a stack array: returns
+/// the sample's length, `min(k, n)`, and leaves the sample in
+/// `out[..len]`.
+///
+/// The contract is bit-interchangeability: for every `n` and `k`, the
+/// values, their order and the generator's position afterwards equal
+/// those of [`sample_indices_into`]. It takes that function's branches in
+/// the same order — nothing for `k = 0`, one draw for `k = 1`, Floyd's
+/// algorithm and its shuffle when `8k < n`, the register-resident
+/// materialize otherwise — and makes the same draws. An engine that
+/// samples a few indices per decision calls this rather than an
+/// [`IndexSampler`]: there is no `Vec` to write through and no large-`k`
+/// branch to carry.
+///
+/// # Panics
+///
+/// Panics if `min(k, n) > SMALL_K`.
+#[inline]
+pub fn sample_small(
+    n: usize,
+    k: usize,
+    rng: &mut Xoshiro256pp,
+    out: &mut [usize; SMALL_K],
+) -> usize {
+    let k = k.min(n);
+    assert!(k <= SMALL_K, "sample_small draws at most {SMALL_K} indices");
+    if k == 0 {
+        return 0;
+    }
+    if k == 1 {
+        out[0] = rng.index(n);
+        return 1;
+    }
+    if k * 8 < n {
+        for (len, j) in ((n - k)..n).enumerate() {
+            let t = rng.index(j + 1);
+            out[len] = if out[..len].contains(&t) { j } else { t };
+        }
+        shuffle(&mut out[..k], rng);
+    } else {
+        small_materialize(n, k, rng, out);
+    }
+    k
+}
+
+/// [`small_materialize`] appended to a `Vec`. Kept out of line, so that
+/// [`sample_indices_into`] and [`IndexSampler::sample_into`] carry only
+/// the call on their rarely taken branch.
+#[inline(never)]
+fn small_materialize_into(n: usize, k: usize, rng: &mut Xoshiro256pp, out: &mut Vec<usize>) {
+    let mut picks = [0; SMALL_K];
+    small_materialize(n, k, rng, &mut picks);
+    out.extend_from_slice(&picks[..k]);
+}
 
 /// The materialize branch of [`sample_indices_into`] for `k ≤ SMALL_K`,
 /// simulating the partial Fisher–Yates over the identity permutation in
 /// a stack-resident displacement map instead of a heap array. Each swap
 /// touches at most two positions, so at most `2k` entries ever deviate
 /// from identity — and position `i` is final right after swap `i` (later
-/// swaps only touch positions `> i`). Same draws, same output bits.
+/// swaps only touch positions `> i`). Same draws, same output bits, in
+/// `out[..k]`.
 #[inline]
-fn small_materialize(n: usize, k: usize, rng: &mut Xoshiro256pp, out: &mut Vec<usize>) {
+fn small_materialize(n: usize, k: usize, rng: &mut Xoshiro256pp, out: &mut [usize; SMALL_K]) {
     debug_assert!((2..=SMALL_K).contains(&k) && k <= n);
     // k = 2 and k = 3 (the engines' request/gossip fan-outs) unroll to
     // closed-form collision checks — entirely register-resident, and the
@@ -90,8 +147,8 @@ fn small_materialize(n: usize, k: usize, rng: &mut Xoshiro256pp, out: &mut Vec<u
     if k == 2 {
         let j0 = rng.index(n);
         let j1 = 1 + rng.index(n - 1);
-        out.push(j0);
-        out.push(if j1 == j0 { 0 } else { j1 });
+        out[0] = j0;
+        out[1] = if j1 == j0 { 0 } else { j1 };
         return;
     }
     if k == 3 {
@@ -101,21 +158,21 @@ fn small_materialize(n: usize, k: usize, rng: &mut Xoshiro256pp, out: &mut Vec<u
         // perm[1] before the second swap: displaced iff the first swap
         // hit position 1.
         let v1 = if j0 == 1 { 0 } else { 1 };
-        out.push(j0);
-        out.push(if j1 == j0 { 0 } else { j1 });
-        out.push(if j2 == j1 {
+        out[0] = j0;
+        out[1] = if j1 == j0 { 0 } else { j1 };
+        out[2] = if j2 == j1 {
             v1
         } else if j2 == j0 {
             0
         } else {
             j2
-        });
+        };
         return;
     }
     let mut pos = [usize::MAX; 2 * SMALL_K];
     let mut val = [0usize; 2 * SMALL_K];
     let mut len = 0;
-    for i in 0..k {
+    for (i, slot) in out.iter_mut().enumerate().take(k) {
         let j = i + rng.index(n - i);
         // vi = perm[i], vj = perm[j] under the displacement map.
         let mut vi = i;
@@ -141,7 +198,7 @@ fn small_materialize(n: usize, k: usize, rng: &mut Xoshiro256pp, out: &mut Vec<u
                 val[slot_j] = vi;
             }
         }
-        out.push(vj);
+        *slot = vj;
     }
 }
 
@@ -204,7 +261,7 @@ impl IndexSampler {
             shuffle(out, rng);
         } else if k <= SMALL_K {
             // Register-resident path needs no persistent permutation.
-            small_materialize(n, k, rng, out);
+            small_materialize_into(n, k, rng, out);
         } else {
             if self.perm.len() != n {
                 self.perm.clear();
@@ -531,6 +588,39 @@ mod tests {
             assert_eq!(out, perm, "n={n} k={k}");
             assert_eq!(r1.next_u64(), r2.next_u64(), "stream diverged n={n} k={k}");
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// `sample_small` is bit-interchangeable with `sample_indices_into`
+        /// over every `n` in 0..=200 and `k` in 0..=4: both branches, the
+        /// `8k = n` boundary between them, `k = 0`, `k = 1` and `k > n`.
+        #[test]
+        fn sample_small_matches_sample_indices_into(seed in proptest::prelude::any::<u64>()) {
+            let mut r1 = Xoshiro256pp::seed_from_u64(seed);
+            let mut r2 = r1.clone();
+            let mut want = Vec::new();
+            let mut got = [usize::MAX; SMALL_K];
+            for n in 0..=200 {
+                for k in 0..=SMALL_K {
+                    sample_indices_into(n, k, &mut r1, &mut want);
+                    let len = sample_small(n, k, &mut r2, &mut got);
+                    proptest::prop_assert_eq!(&got[..len], &want[..], "n = {}, k = {}", n, k);
+                    proptest::prop_assert_eq!(
+                        r1.next_u64(),
+                        r2.next_u64(),
+                        "stream diverged at n = {}, k = {}", n, k
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn sample_small_rejects_a_large_sample() {
+        let _ = sample_small(10, SMALL_K + 1, &mut rng(), &mut [0; SMALL_K]);
     }
 
     #[test]
