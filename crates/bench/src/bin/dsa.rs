@@ -35,24 +35,10 @@
 //!                 [--floor NS] [--baselines FILE]
 //!                                        perf gate: latest journal entry vs its rolling
 //!                                        window + bench ceilings; exits non-zero on fail
-//! dsa obs top [--addr A] [--interval SECS] [--once]
-//!                                        polling terminal dashboard over a live
-//!                                        /snapshot endpoint (--obs-listen)
-//! dsa obs flame [run | --live] [--out FILE] [--dir DIR]
-//!               [--domain D] [--scale S] [--seed N] [--threads N]
-//!                                        folded-stacks export (inferno / speedscope /
-//!                                        flamegraph.pl): a journal record's spans by
-//!                                        self time, or (--live) a freshly traced PRA
-//!                                        workload with real per-thread stacks — and,
-//!                                        with the global --alloc, weighted by self
-//!                                        allocation counts instead of nanoseconds
 //! dsa obs gc [--out DIR] [--keep N] [--dry-run]
 //!                                        compact the journal to its newest N records
 //!                                        (atomic rewrite; refuses on parse errors;
 //!                                        --dry-run previews kept/dropped run ids)
-//! dsa obs lint <file> [--monotone FILE]  validate a saved /metrics body as Prometheus
-//!                                        text exposition; with --monotone, check every
-//!                                        counter series grew vs an earlier scrape
 //! ```
 //!
 //! `obs runs` and `obs diff` also take `--json`, emitting the same data
@@ -63,15 +49,14 @@
 //! any command and `--trace` additionally records spans; both print an
 //! observability epilogue after the command's own output **and append a
 //! provenance record to `<out>/journal.jsonl`** (see `dsa obs runs`).
-//! `--metrics` also samples process RSS (background thread + a final
-//! boundary reading) and the engines' arena footprints; the global
-//! `--alloc` switch (implies `--metrics`) additionally turns on the
-//! runtime counting allocator, adding `mem.alloc.*` totals and the
-//! per-run `mem.run_allocs.*` histograms.
-//! The global `--obs-listen <addr>` switch (implies `--metrics`) serves
-//! the live registry over HTTP while the command runs: `GET /metrics`
-//! (Prometheus text exposition) and `GET /snapshot` (JSON), scrapeable
-//! mid-run — see the bench README's "Live observability" section.
+//! `--metrics` also records the final process RSS and the engines' arena
+//! footprints; the global `--alloc` switch (implies `--metrics`)
+//! additionally turns on the runtime counting allocator, adding
+//! `mem.alloc.*` totals and the per-run `mem.run_allocs.*` histograms,
+//! and gives each span end in `dsa obs trace` its self allocation count.
+//! `obs diff` and `obs regress` reject a `--threshold` that is negative or
+//! not finite; `obs runs --last`, `obs regress --window` and `obs gc
+//! --keep` must be at least 1.
 //!
 //! Domains: `swarm` (3270 protocols), `gossip` (108), `rep` (288).
 //! A bare command (`dsa protocols ...`) defaults to the swarm domain.
@@ -85,7 +70,10 @@
 //! `navigate` from one stamped table per (domain, response, scale),
 //! `<out>/attrib-<domain>-<response>-<scale>.csv`, fitted only when it
 //! misses. `navigate` rejects a negative or non-finite `--tolerance`, and
-//! `interactions` and `navigate` reject `--top 0`.
+//! `interactions` and `navigate` reject `--top 0`. `attack run --budget`
+//! must lie in (0, 1) and `search --budget` must be at least 1. Every
+//! command parses its flags with [`dsa_bench::cli`], which `experiments`
+//! shares.
 //!
 //! Presets: swarm has bittorrent, birds, loyal, sorts, random,
 //! freerider; gossip has random-push, reciprocal, lazy, silent; rep has
@@ -93,6 +81,9 @@
 //! whitewasher.
 //! BT kinds: bittorrent, birds, loyal, sorts, random.
 
+use dsa_bench::cli::{
+    self, check_flags, count_flag, flag, split_flags, take_switch, Flags, ObsSwitches,
+};
 use dsa_btsim::choker::ClientKind;
 use dsa_btsim::config::BtConfig;
 use dsa_btsim::experiment::mixed_runs;
@@ -128,52 +119,10 @@ fn main() -> ExitCode {
     let ts_ms = unix_ms();
     let t0 = std::time::Instant::now();
     let raw_args: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = raw_args.clone();
-    // `--trace`/`--metrics` are global switches: strip them before any
+    // The observability switches are global: strip them before any
     // command-level flag validation sees them.
-    let trace = args.iter().any(|a| a == "--trace");
-    let metrics = args.iter().any(|a| a == "--metrics");
-    let alloc = args.iter().any(|a| a == "--alloc");
-    args.retain(|a| a != "--trace" && a != "--metrics" && a != "--alloc");
-    // `--obs-listen <addr>` is also global: it consumes a value, so it
-    // is stripped as a pair.
-    let obs_listen = match args.iter().position(|a| a == "--obs-listen") {
-        Some(i) => {
-            let Some(addr) = args.get(i + 1).cloned() else {
-                eprintln!("error: --obs-listen needs an address (e.g. 127.0.0.1:9464)");
-                return ExitCode::FAILURE;
-            };
-            args.drain(i..i + 2);
-            Some(addr)
-        }
-        None => None,
-    };
-    if alloc {
-        // Counting without a registry to land in would be invisible;
-        // --alloc implies --metrics.
-        dsa_obs::alloc::enable();
-    }
-    if trace {
-        dsa_obs::enable_trace();
-    } else if metrics || obs_listen.is_some() || alloc {
-        // An exposition endpoint over a disabled registry would scrape
-        // empty forever; --obs-listen implies --metrics.
-        dsa_obs::enable_metrics();
-    }
-    if dsa_obs::metrics_enabled() {
-        // Background RSS sampling + armed passive hooks: live scrapes
-        // and `obs top` see mem.rss_bytes move during the run.
-        dsa_obs::mem::spawn_sampler(dsa_obs::mem::SAMPLER_INTERVAL);
-    }
-    if let Some(addr) = &obs_listen {
-        match dsa_obs::serve::spawn(addr) {
-            Ok(bound) => eprintln!("obs: serving /metrics /snapshot /healthz on http://{bound}/"),
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let (obs, args) = ObsSwitches::take(&raw_args);
+    obs.enable();
     let result = match args.first().map(String::as_str) {
         Some("bt") => cmd_bt(&args[1..]),
         Some("obs") => cmd_obs(&args[1..]),
@@ -195,7 +144,7 @@ fn main() -> ExitCode {
             }
         }
     };
-    if trace || metrics || alloc || obs_listen.is_some() {
+    if obs.any() {
         // Final memory boundary: one last RSS reading, then fold the
         // allocation tallies (no-op without --alloc) into the snapshot
         // the epilogue and journal render from.
@@ -207,8 +156,8 @@ fn main() -> ExitCode {
             print!("{}", snap.render());
             // Append the run's provenance record to the journal — but
             // not for `obs` meta-commands: they read or export the
-            // journal rather than run a workload, and their `--out` is
-            // a file (trace.json, flame.folded), not a results dir.
+            // journal rather than run a workload, and `obs trace`'s
+            // `--out` is a file, not a results dir.
             if args.first().map(String::as_str) != Some("obs") {
                 let wall_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
                 let meta = run_meta_from_args(&raw_args, "dsa", ts_ms);
@@ -272,21 +221,10 @@ fn run_meta_from_args(args: &[String], binary: &str, ts_ms: u64) -> dsa_obs::Run
     let requested = arg_value(args, "--threads")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
-    // The journaled command drops the observability switches
-    // (`--metrics`, `--trace`, `--alloc`, `--obs-listen <addr>`): they
+    // The journaled command drops the observability switches: they
     // change what is recorded, not what runs, and diff/regress group
     // comparable runs by command string.
-    let mut command: Vec<&str> = Vec::new();
-    let mut skip_value = false;
-    for a in args.iter().map(String::as_str) {
-        if skip_value {
-            skip_value = false;
-        } else if a == "--obs-listen" {
-            skip_value = true;
-        } else if a != "--metrics" && a != "--trace" && a != "--alloc" {
-            command.push(a);
-        }
-    }
+    let (_, command) = ObsSwitches::take(args);
     dsa_obs::RunMeta {
         run_id: format!("{binary}-{ts_ms}-{}", std::process::id()),
         binary: binary.to_string(),
@@ -309,13 +247,12 @@ fn help() -> String {
         "dsa — Design Space Analysis toolkit\n\
          usage: dsa <domain> {{protocols|describe|simulate|encounter|pra|attack|evolve|attribute|search}} [...]\n\
          \u{20}      dsa bt <kind-a> [kind-b] [--frac F] [--runs N]\n\
-         \u{20}      dsa obs {{runs|trace|diff <a> <b>|regress|top|flame|gc|lint}} [--out DIR]\n\
+         \u{20}      dsa obs {{runs|trace|diff <a> <b>|regress|gc}} [--out DIR]\n\
          domains: {}\n\
          attacks: {} (dsa <domain> attack {{list|run}})\n\
          (bare commands default to the swarm domain; global --metrics/--trace\n\
-         \u{20}record counters and spans for any command, --alloc adds runtime\n\
-         \u{20}allocation counting, and --obs-listen ADDR serves the live registry\n\
-         \u{20}over HTTP; see crate docs for flags)",
+         \u{20}record counters and spans for any command and journal the run, and\n\
+         \u{20}--alloc adds runtime allocation counting; see crate docs for flags)",
         domains.join(", "),
         attacks.join(", ")
     )
@@ -343,65 +280,6 @@ fn dispatch(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> {
             domain.name(),
             DOMAIN_COMMANDS.join(", ")
         )),
-    }
-}
-
-/// Parsed `--flag value` pairs.
-type Flags = Vec<(String, String)>;
-
-/// Pulls `--flag value` pairs out of an argument list; returns
-/// (positional, lookup).
-fn split_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
-    let mut positional = Vec::new();
-    let mut flags = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.push((name.to_string(), value.clone()));
-        } else {
-            positional.push(a.clone());
-        }
-    }
-    Ok((positional, flags))
-}
-
-fn flag<T: std::str::FromStr>(
-    flags: &[(String, String)],
-    name: &str,
-    default: T,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    match flags.iter().find(|(n, _)| n == name) {
-        None => Ok(default),
-        Some((_, v)) => v.parse().map_err(|e| format!("bad --{name}: {e}")),
-    }
-}
-
-/// Rejects flags outside a command's accepted set. Silently ignoring a
-/// mistyped or unsupported flag would run a different configuration than
-/// the user asked for and still exit 0.
-fn check_flags(flags: &Flags, allowed: &[&str]) -> Result<(), String> {
-    for (name, _) in flags {
-        if !allowed.contains(&name.as_str()) {
-            let accepted: Vec<String> = allowed.iter().map(|f| format!("--{f}")).collect();
-            return Err(format!(
-                "unknown flag --{name} (accepted: {})",
-                accepted.join(", ")
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// A count flag (`--runs`, `--steps`, `--restarts`, `--top`): at least 1.
-/// Zero would silently run a different configuration, or none at all.
-fn count_flag(flags: &Flags, name: &str, default: usize) -> Result<usize, String> {
-    match flag(flags, name, default)? {
-        0 => Err(format!("--{name} must be at least 1")),
-        n => Ok(n),
     }
 }
 
@@ -626,11 +504,7 @@ fn cmd_attack_run(domain: &dyn DynDomain, args: &[String]) -> Result<(), String>
     let seed = flag(&flags, "seed", 1u64)?;
     let effort = effort_flag(&flags)?;
     let budgets: Vec<f64> = if flags.iter().any(|(n, _)| n == "budget") {
-        let budget = flag(&flags, "budget", 0.0f64)?;
-        if budget <= 0.0 || budget >= 1.0 {
-            return Err(format!("--budget must be in (0,1), got {budget}"));
-        }
-        vec![budget]
+        vec![cli::budget(flag(&flags, "budget", 0.0f64)?)?]
     } else {
         dsa_attacks::DEFAULT_BUDGETS.to_vec()
     };
@@ -1072,7 +946,7 @@ fn cmd_search(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> {
     }
     check_flags(&flags, &["seed", "budget", "restarts", "effort"])?;
     let seed = flag(&flags, "seed", 0x5EEDu64)?;
-    let budget = flag(&flags, "budget", 400usize)?;
+    let budget = count_flag(&flags, "budget", 400)?;
     let restarts = count_flag(&flags, "restarts", 4)?;
     let effort = effort_flag(&flags)?;
     // Objective: homogeneous performance at one probe seed — the cheap
@@ -1098,19 +972,16 @@ fn cmd_search(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-// ---- the run journal and live observability (dsa obs) ---------------------
+// ---- the run journal (dsa obs) -------------------------------------------
 
 fn cmd_obs(args: &[String]) -> Result<(), String> {
-    const COMMANDS: &str = "runs, trace, diff, regress, top, flame, gc, lint";
+    const COMMANDS: &str = "runs, trace, diff, regress, gc";
     match args.first().map(String::as_str) {
         Some("runs") => cmd_obs_runs(&args[1..]),
         Some("trace") => cmd_obs_trace(&args[1..]),
         Some("diff") => cmd_obs_diff(&args[1..]),
         Some("regress") => cmd_obs_regress(&args[1..]),
-        Some("top") => cmd_obs_top(&args[1..]),
-        Some("flame") => cmd_obs_flame(&args[1..]),
         Some("gc") => cmd_obs_gc(&args[1..]),
-        Some("lint") => cmd_obs_lint(&args[1..]),
         Some(other) => Err(format!(
             "unknown obs command '{other}' (expected: {COMMANDS})"
         )),
@@ -1128,19 +999,6 @@ fn read_journal(out: &str) -> Result<Vec<dsa_obs::JournalRecord>, String> {
     Ok(records)
 }
 
-/// Strips a bare (valueless) `--switch` from an argument list, returning
-/// whether it was present. Must run before [`split_flags`], which would
-/// otherwise swallow the next token as the switch's value.
-fn take_switch(args: &[String], name: &str) -> (bool, Vec<String>) {
-    let present = args.iter().any(|a| a == name);
-    let rest = args
-        .iter()
-        .filter(|a| a.as_str() != name)
-        .cloned()
-        .collect();
-    (present, rest)
-}
-
 fn cmd_obs_runs(args: &[String]) -> Result<(), String> {
     let (json, args) = take_switch(args, "--json");
     let (pos, flags) = split_flags(&args)?;
@@ -1149,7 +1007,7 @@ fn cmd_obs_runs(args: &[String]) -> Result<(), String> {
     }
     check_flags(&flags, &["out", "last"])?;
     let out: String = flag(&flags, "out", "results".to_string())?;
-    let last = flag(&flags, "last", 10usize)?.max(1);
+    let last = count_flag(&flags, "last", 10)?;
     if json {
         // Unfiltered (--last shapes the human listing only), with any
         // corrupt-line count inline instead of on stderr.
@@ -1175,6 +1033,10 @@ fn cmd_obs_runs(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs a traced PRA workload and exports it: the domain's presets (or
+/// its first six protocols when it has fewer than two presets) under one
+/// root span `trace.<domain>`, with raw event capture on. The cache is
+/// bypassed: a trace of a cache hit has no tree.
 fn cmd_obs_trace(args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_flags(args)?;
     if let Some(stray) = pos.first() {
@@ -1182,8 +1044,30 @@ fn cmd_obs_trace(args: &[String]) -> Result<(), String> {
     }
     check_flags(&flags, &["out", "domain", "scale", "seed", "threads"])?;
     let out: String = flag(&flags, "out", "trace.json".to_string())?;
-    let (domain, scale, events) = traced_workload(&flags, "trace")?;
-    let doc = dsa_obs::trace::chrome_trace(&events, &format!("dsa {domain} pra ({scale})"));
+    let domain_name: String = flag(&flags, "domain", "swarm".to_string())?;
+    let domain = dsa_core::domain::lookup(&domain_name)
+        .ok_or_else(|| format!("unknown domain '{domain_name}'"))?;
+    let scale_name: String = flag(&flags, "scale", "smoke".to_string())?;
+    let mut scale = dsa_bench::scale::Scale::by_name(&scale_name)
+        .ok_or_else(|| format!("unknown --scale '{scale_name}' (smoke|lab|paper)"))?;
+    scale.pra.seed = flag(&flags, "seed", scale.pra.seed)?;
+    scale.pra.threads = flag(&flags, "threads", scale.pra.threads)?;
+    dsa_obs::enable_events();
+    dsa_obs::reset();
+    let mut indices: Vec<usize> = domain.presets().iter().map(|(_, i)| *i).collect();
+    indices.dedup();
+    if indices.len() < 2 {
+        indices = (0..domain.size().min(6)).collect();
+    }
+    {
+        let _workload = dsa_obs::span_owned(format!("trace.{}", domain.name()));
+        let _ = domain.quantify(&indices, scale.effort(), &scale.pra);
+    }
+    let events = dsa_obs::take_events();
+    let doc = dsa_obs::trace::chrome_trace(
+        &events,
+        &format!("dsa {} pra ({scale_name})", domain.name()),
+    );
     // Self-check before writing: the exported document must satisfy the
     // Trace Event Format invariants we promise.
     let stats =
@@ -1197,43 +1081,6 @@ fn cmd_obs_trace(args: &[String]) -> Result<(), String> {
         events.len()
     );
     Ok(())
-}
-
-/// The traced PRA workload behind `obs trace` and `obs flame --live`.
-/// Resolves `--domain/--scale/--seed/--threads`, turns raw event capture
-/// on, and quantifies the domain's presets (or its first six protocols
-/// when it has fewer than two presets) under one root span
-/// `<root>.<domain>`. The cache is bypassed: a trace of a cache hit has
-/// no tree. Returns the domain name, the scale name and the captured
-/// events.
-fn traced_workload(
-    flags: &Flags,
-    root: &str,
-) -> Result<(String, String, Vec<dsa_obs::TraceEvent>), String> {
-    let domain_name: String = flag(flags, "domain", "swarm".to_string())?;
-    let domain = dsa_core::domain::lookup(&domain_name)
-        .ok_or_else(|| format!("unknown domain '{domain_name}'"))?;
-    let scale_name: String = flag(flags, "scale", "smoke".to_string())?;
-    let mut scale = dsa_bench::scale::Scale::by_name(&scale_name)
-        .ok_or_else(|| format!("unknown --scale '{scale_name}' (smoke|lab|paper)"))?;
-    scale.pra.seed = flag(flags, "seed", scale.pra.seed)?;
-    scale.pra.threads = flag(flags, "threads", scale.pra.threads)?;
-    dsa_obs::enable_events();
-    dsa_obs::reset();
-    let mut indices: Vec<usize> = domain.presets().iter().map(|(_, i)| *i).collect();
-    indices.dedup();
-    if indices.len() < 2 {
-        indices = (0..domain.size().min(6)).collect();
-    }
-    {
-        let _workload = dsa_obs::span_owned(format!("{root}.{}", domain.name()));
-        let _ = domain.quantify(&indices, scale.effort(), &scale.pra);
-    }
-    Ok((
-        domain.name().to_string(),
-        scale_name,
-        dsa_obs::take_events(),
-    ))
 }
 
 /// Resolves a journal-record token: `-1` is the newest record, `-2` the
@@ -1286,7 +1133,7 @@ fn cmd_obs_diff(args: &[String]) -> Result<(), String> {
         return Err("obs diff needs two runs (run ids, or -1/-2/... from the end)".into());
     };
     let out: String = flag(&flags, "out", "results".to_string())?;
-    let threshold = flag(&flags, "threshold", 25.0f64)?;
+    let threshold = cli::threshold_flag(&flags, 25.0)?;
     let records = read_journal(&out)?;
     if records.is_empty() {
         return Err(format!("no journal records under {out}"));
@@ -1321,8 +1168,8 @@ fn cmd_obs_regress(args: &[String]) -> Result<(), String> {
     )?;
     let out: String = flag(&flags, "out", "results".to_string())?;
     let cfg = dsa_obs::regress::RegressConfig {
-        threshold_pct: flag(&flags, "threshold", 50.0f64)?,
-        window: flag(&flags, "window", 5usize)?.max(1),
+        threshold_pct: cli::threshold_flag(&flags, 50.0)?,
+        window: count_flag(&flags, "window", 5)?,
         min_self_ns: flag(&flags, "floor", 1_000_000u64)?,
         ..dsa_obs::regress::RegressConfig::default()
     };
@@ -1366,79 +1213,6 @@ fn load_bench_baselines(path: &str) -> Result<std::collections::BTreeMap<String,
     }
 }
 
-fn cmd_obs_top(args: &[String]) -> Result<(), String> {
-    let (once, args) = take_switch(args, "--once");
-    let (pos, flags) = split_flags(&args)?;
-    if let Some(stray) = pos.first() {
-        return Err(format!("obs top takes no positional argument '{stray}'"));
-    }
-    check_flags(&flags, &["addr", "interval"])?;
-    let addr: String = flag(&flags, "addr", "127.0.0.1:9464".to_string())?;
-    let interval = flag(&flags, "interval", 2.0f64)?;
-    if !interval.is_finite() || interval <= 0.0 {
-        return Err(format!(
-            "--interval must be a positive number of seconds, got {interval}"
-        ));
-    }
-    dsa_obs::top::run(&dsa_obs::top::TopOptions {
-        addr,
-        interval: std::time::Duration::from_secs_f64(interval),
-        once,
-    })
-}
-
-fn cmd_obs_flame(args: &[String]) -> Result<(), String> {
-    let (live, args) = take_switch(args, "--live");
-    let (pos, flags) = split_flags(&args)?;
-    check_flags(
-        &flags,
-        &["out", "dir", "domain", "scale", "seed", "threads"],
-    )?;
-    let out: String = flag(&flags, "out", "flame.folded".to_string())?;
-    // Allocation weighting rides on the global --alloc switch (main has
-    // already stripped and acted on it); it only makes sense live —
-    // journal records keep no per-span allocation counts.
-    let alloc_weighted = live && dsa_obs::alloc::enabled();
-    let folded = if live {
-        if let Some(stray) = pos.first() {
-            return Err(format!("obs flame --live takes no run argument '{stray}'"));
-        }
-        // Real begin/end events are the only source of true call stacks.
-        let (_, _, events) = traced_workload(&flags, "flame")?;
-        let weight = if alloc_weighted {
-            dsa_obs::flame::Weight::Allocs
-        } else {
-            dsa_obs::flame::Weight::SelfNanos
-        };
-        dsa_obs::flame::fold_events(&events, weight)
-    } else {
-        let dir: String = flag(&flags, "dir", "results".to_string())?;
-        let records = read_journal(&dir)?;
-        if records.is_empty() {
-            return Err(format!("no journal records under {dir}"));
-        }
-        let token = pos.first().map_or("-1", String::as_str);
-        let record = resolve_record(&records, token)?;
-        dsa_obs::flame::fold_record(record)
-    };
-    if folded.is_empty() && alloc_weighted {
-        // Not an error: an allocation-weighted profile of a steady-state
-        // run SHOULD be empty — that is the zero-alloc claim, verified.
-        println!("no allocating stacks: the traced workload ran allocation-free");
-    }
-    std::fs::write(&out, &folded).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "wrote {out}: {} stack(s), {}-weighted (feed to inferno / flamegraph.pl / speedscope)",
-        folded.lines().count(),
-        if alloc_weighted {
-            "allocation"
-        } else {
-            "self-time"
-        }
-    );
-    Ok(())
-}
-
 fn cmd_obs_gc(args: &[String]) -> Result<(), String> {
     let (dry_run, args) = take_switch(args, "--dry-run");
     let (pos, flags) = split_flags(&args)?;
@@ -1447,7 +1221,7 @@ fn cmd_obs_gc(args: &[String]) -> Result<(), String> {
     }
     check_flags(&flags, &["out", "keep"])?;
     let out: String = flag(&flags, "out", "results".to_string())?;
-    let keep = flag(&flags, "keep", 100usize)?;
+    let keep = count_flag(&flags, "keep", 100)?;
     if dry_run {
         let plan = dsa_obs::journal::gc_plan(std::path::Path::new(&out), keep)?;
         for id in &plan.dropped {
@@ -1469,30 +1243,6 @@ fn cmd_obs_gc(args: &[String]) -> Result<(), String> {
         "journal gc under {out}: kept {kept} record(s), dropped {dropped} \
          (rotated generation folded in)"
     );
-    Ok(())
-}
-
-fn cmd_obs_lint(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = split_flags(args)?;
-    check_flags(&flags, &["monotone"])?;
-    let path = pos
-        .first()
-        .ok_or("obs lint needs a /metrics body to validate (a file path)")?;
-    let body = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let cur = dsa_obs::expo::parse(&body).map_err(|e| format!("{path}: {e}"))?;
-    println!(
-        "{path}: valid exposition — {} families, {} samples",
-        cur.families.len(),
-        cur.sample_count()
-    );
-    if let Some((_, prev_path)) = flags.iter().find(|(n, _)| n == "monotone") {
-        let prev_body =
-            std::fs::read_to_string(prev_path).map_err(|e| format!("reading {prev_path}: {e}"))?;
-        let prev = dsa_obs::expo::parse(&prev_body).map_err(|e| format!("{prev_path}: {e}"))?;
-        dsa_obs::expo::check_monotone(&prev, &cur)
-            .map_err(|e| format!("monotonicity violated between {prev_path} and {path}: {e}"))?;
-        println!("monotone against {prev_path}: every counter series is non-decreasing");
-    }
     Ok(())
 }
 
@@ -1542,4 +1292,76 @@ fn cmd_bt(args: &[String]) -> Result<(), String> {
         println!("difference significant at 5% (Mann-Whitney): {sig}");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const FIXTURE: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/journal-regress.jsonl"
+    );
+
+    fn argv(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|t| (*t).to_string()).collect()
+    }
+
+    /// A scratch results directory holding the six-record fixture journal.
+    fn fixture_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dsa-cli-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(FIXTURE, dir.join(dsa_obs::journal::JOURNAL_FILE)).unwrap();
+        dir
+    }
+
+    #[test]
+    fn obs_diff_rejects_a_threshold_that_is_not_a_finite_percentage() {
+        let dir = fixture_dir("diff");
+        let out = dir.to_str().unwrap();
+        assert!(cmd_obs_diff(&argv(&["-2", "-1", "--out", out, "--threshold", "0"])).is_ok());
+        for bad in ["NaN", "inf", "-5"] {
+            let err =
+                cmd_obs_diff(&argv(&["-2", "-1", "--out", out, "--threshold", bad])).unwrap_err();
+            assert!(err.contains("--threshold"), "{bad}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn obs_regress_rejects_a_threshold_that_would_pass_a_planted_regression() {
+        let gate = |threshold: &str| {
+            cmd_obs_regress(&argv(&[
+                "--journal",
+                FIXTURE,
+                "--threshold",
+                threshold,
+                "--baselines",
+                "no-such-baselines.json",
+            ]))
+        };
+        let err = gate("25").unwrap_err();
+        assert!(err.contains("perf gate failed"), "{err}");
+        for bad in ["NaN", "inf", "-5"] {
+            let err = gate(bad).unwrap_err();
+            assert!(err.contains("--threshold"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn journal_counts_are_at_least_one() {
+        let dir = fixture_dir("counts");
+        let out = dir.to_str().unwrap();
+        for bad in [
+            cmd_obs_gc(&argv(&["--out", out, "--keep", "0"])),
+            cmd_obs_gc(&argv(&["--out", out, "--keep", "0", "--dry-run"])),
+            cmd_obs_runs(&argv(&["--out", out, "--last", "0"])),
+            cmd_obs_regress(&argv(&["--out", out, "--window", "0"])),
+        ] {
+            assert!(bad.unwrap_err().contains("at least 1"));
+        }
+        let (records, _) = dsa_obs::journal::read_all(&dir).unwrap();
+        assert_eq!(records.len(), 6, "a rejected gc must drop nothing");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -4,7 +4,7 @@
 //! experiments [--scale smoke|lab|paper] [--seed N] [--out DIR] [--threads N]
 //!             [--budgets B1,B2,...] [--mutants P1,P2,...]
 //!             [--response pra,attack,evolution] [--metrics] [--trace]
-//!             [--alloc] [--obs-listen ADDR] <id>...
+//!             [--alloc] <id>...
 //!
 //! ids: fig1 table1 table2 nash fig2 fig3 fig4 fig5 fig6 fig7 fig8
 //!      table3 churn corr9010 birds fig9a fig9b fig9c fig10 gossip
@@ -36,20 +36,22 @@
 //! the whole run and `--trace` additionally records spans; both print an
 //! observability epilogue and append the run's record to
 //! `<out>/journal.jsonl` (query it with `dsa obs runs/diff/regress`).
-//! `--obs-listen ADDR` (implies `--metrics`) additionally serves the
-//! live registry over HTTP while the run executes — `GET /metrics`
-//! (Prometheus text exposition) and `GET /snapshot` (JSON), scrapeable
-//! mid-run. `--alloc` (implies `--metrics`) turns on the runtime
-//! counting allocator: `mem.alloc.{count,bytes}` and the per-run
-//! `mem.run_allocs.*` histograms join the RSS and arena-footprint
-//! gauges that `--metrics` already samples. The `profile` id renders
-//! the per-engine time-attribution figure and always journals itself
-//! (it manages — and resets — the obs registries itself, so scrape
-//! monotonicity holds for every id *except* `profile`).
+//! `--alloc` (implies `--metrics`) turns on the runtime counting
+//! allocator: `mem.alloc.{count,bytes}` and the per-run
+//! `mem.run_allocs.*` histograms join the final RSS reading and the
+//! arena-footprint gauges that `--metrics` already records. The
+//! `profile` id renders the per-engine time-attribution figure and
+//! always journals itself (it manages, and resets, the obs registries
+//! itself).
+//!
+//! The command line is parsed with [`dsa_bench::cli`], the parser `dsa`
+//! uses: a repeated flag takes its first value, except `--mutants`,
+//! whose lists add up.
 
 use dsa_bench::attackfig;
 use dsa_bench::attribfig;
 use dsa_bench::btfigs;
+use dsa_bench::cli::{self, check_flags, flag, split_flags, take_switch, ObsSwitches};
 use dsa_bench::evofig;
 use dsa_bench::figures;
 use dsa_bench::gossipfig;
@@ -99,15 +101,11 @@ const ALL_IDS: &[&str] = &[
 
 struct Options {
     scale: Scale,
-    seed: u64,
     out: PathBuf,
     budgets: Option<Vec<f64>>,
     mutants: Vec<String>,
     responses: Vec<dsa_attribution::ResponseKind>,
-    metrics: bool,
-    trace: bool,
-    alloc: bool,
-    obs_listen: Option<String>,
+    obs: ObsSwitches,
     ids: Vec<String>,
 }
 
@@ -120,96 +118,45 @@ fn usage() -> String {
         "usage: experiments [--scale smoke|lab|paper] [--seed N] [--out DIR] \
          [--threads N] [--budgets B1,B2,...] [--mutants P1,P2,...] \
          [--response pra,attack,evolution] [--metrics] [--trace] [--alloc] \
-         [--obs-listen ADDR] <id>...\nids: {} all",
+         <id>...\nids: {} all",
         ALL_IDS.join(" ")
     )
 }
 
-/// Parses the command line; `Ok(None)` means `--help` was asked for.
-fn parse_args() -> Result<Option<Options>, String> {
-    let mut scale = Scale::lab();
-    let mut seed: Option<u64> = None;
-    let mut out = PathBuf::from("results");
-    let mut threads: Option<usize> = None;
-    let mut budgets: Option<Vec<f64>> = None;
-    let mut mutants: Vec<String> = Vec::new();
-    let mut responses = vec![dsa_attribution::ResponseKind::Pra];
-    let mut metrics = false;
-    let mut trace = false;
-    let mut alloc = false;
-    let mut obs_listen: Option<String> = None;
-    let mut ids = Vec::new();
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let v = args.next().ok_or("--scale needs a value")?;
-                scale = Scale::by_name(&v).ok_or(format!("unknown scale '{v}'"))?;
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                seed = Some(v.parse().map_err(|e| format!("bad seed: {e}"))?);
-            }
-            "--out" => {
-                out = PathBuf::from(args.next().ok_or("--out needs a value")?);
-            }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                threads = Some(v.parse().map_err(|e| format!("bad thread count: {e}"))?);
-            }
-            "--budgets" => {
-                let v = args
-                    .next()
-                    .ok_or("--budgets needs a comma-separated list")?;
-                let grid: Vec<f64> = v
-                    .split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse()
-                            .map_err(|e| format!("bad budget '{t}': {e}"))
-                    })
-                    .collect::<Result<_, String>>()?;
-                if grid.iter().any(|&b| !(0.0..1.0).contains(&b) || b == 0.0) {
-                    return Err(format!("budgets must lie in (0,1), got {grid:?}"));
-                }
-                if grid.windows(2).any(|w| w[1] <= w[0]) {
-                    return Err(format!("budgets must be strictly increasing, got {grid:?}"));
-                }
-                budgets = Some(grid);
-            }
-            "--mutants" => {
-                let v = args
-                    .next()
-                    .ok_or("--mutants needs a comma-separated token list")?;
-                mutants.extend(v.split(',').map(|t| t.trim().to_string()));
-            }
-            "--response" => {
-                let v = args
-                    .next()
-                    .ok_or("--response needs a comma-separated list (pra|attack|evolution)")?;
-                responses = attribfig::parse_responses(&v)?;
-            }
-            "--metrics" => metrics = true,
-            "--trace" => trace = true,
-            "--alloc" => alloc = true,
-            "--obs-listen" => {
-                let v = args
-                    .next()
-                    .ok_or("--obs-listen needs an address (e.g. 127.0.0.1:9464)")?;
-                obs_listen = Some(v);
-            }
-            "--help" | "-h" => return Ok(None),
-            id if id.starts_with('-') => return Err(format!("unknown flag '{id}'")),
-            id => ids.push(id.to_string()),
-        }
+/// Parses the command line (without the program name); `Ok(None)` means
+/// `--help` or `-h` was asked for.
+fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+    let (long_help, args) = take_switch(args, "--help");
+    let (short_help, args) = take_switch(&args, "-h");
+    if long_help || short_help {
+        return Ok(None);
     }
-    if let Some(s) = seed {
-        scale.pra.seed = s;
+    let (obs, args) = ObsSwitches::take(&args);
+    let (mut ids, flags) = split_flags(&args)?;
+    check_flags(
+        &flags,
+        &[
+            "scale", "seed", "out", "threads", "budgets", "mutants", "response",
+        ],
+    )?;
+    if let Some(stray) = ids.iter().find(|id| id.starts_with('-')) {
+        return Err(format!("unknown flag '{stray}'"));
     }
-    if let Some(t) = threads {
-        scale.pra.threads = t;
-    }
+    let scale_name: String = flag(&flags, "scale", "lab".to_string())?;
+    let mut scale = Scale::by_name(&scale_name).ok_or(format!("unknown scale '{scale_name}'"))?;
+    scale.pra.seed = flag(&flags, "seed", scale.pra.seed)?;
+    scale.pra.threads = flag(&flags, "threads", scale.pra.threads)?;
+    let value = |name: &str| flags.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+    let budgets = value("budgets").map(|v| cli::budget_grid(v)).transpose()?;
+    let responses = match value("response") {
+        Some(v) => attribfig::parse_responses(v)?,
+        None => vec![dsa_attribution::ResponseKind::Pra],
+    };
+    let mutants = flags
+        .iter()
+        .filter(|(n, _)| n == "mutants")
+        .flat_map(|(_, v)| v.split(',').map(|t| t.trim().to_string()))
+        .collect();
     if ids.is_empty() {
         return Err("no experiment ids given (try 'all')".to_string());
     }
@@ -218,15 +165,11 @@ fn parse_args() -> Result<Option<Options>, String> {
     }
     Ok(Some(Options {
         scale,
-        seed: seed.unwrap_or(0x5EED),
-        out,
+        out: PathBuf::from(flag(&flags, "out", "results".to_string())?),
         budgets,
         mutants,
         responses,
-        metrics,
-        trace,
-        alloc,
-        obs_listen,
+        obs,
         ids,
     }))
 }
@@ -240,7 +183,7 @@ fn main() -> ExitCode {
         .unwrap_or(0);
     let t0 = std::time::Instant::now();
     let raw_args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args() {
+    let opts = match parse_args(&raw_args) {
         Ok(Some(o)) => o,
         Ok(None) => {
             eprintln!("{}", usage());
@@ -251,35 +194,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if opts.alloc {
-        // Counting without a registry to land in would be invisible;
-        // --alloc implies --metrics.
-        dsa_obs::alloc::enable();
-    }
-    if opts.trace {
-        dsa_obs::enable_trace();
-    } else if opts.metrics || opts.obs_listen.is_some() || opts.alloc {
-        // An exposition endpoint over a disabled registry would scrape
-        // empty forever; --obs-listen implies --metrics.
-        dsa_obs::enable_metrics();
-    }
-    if dsa_obs::metrics_enabled() {
-        // Background RSS sampling + armed passive hooks: live scrapes
-        // and `obs top` see mem.rss_bytes move during the run.
-        dsa_obs::mem::spawn_sampler(dsa_obs::mem::SAMPLER_INTERVAL);
-    }
-    if let Some(addr) = &opts.obs_listen {
-        match dsa_obs::serve::spawn(addr) {
-            Ok(bound) => eprintln!(
-                "[experiments] obs: serving /metrics /snapshot /healthz on http://{bound}/"
-            ),
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    opts.obs.enable();
 
     // The sweep is shared by several ids; compute lazily, once.
     let mut sweep: Option<SweepData> = None;
@@ -326,26 +241,30 @@ fn main() -> ExitCode {
                 ClientKind::BitTorrent,
                 opts.scale.bt_runs,
                 &bt_cfg,
-                opts.seed,
+                opts.scale.pra.seed,
             )),
             "fig9b" => Ok(btfigs::fig9(
                 ClientKind::Birds,
                 ClientKind::BitTorrent,
                 opts.scale.bt_runs,
                 &bt_cfg,
-                opts.seed ^ 0xB,
+                opts.scale.pra.seed ^ 0xB,
             )),
             "fig9c" => Ok(btfigs::fig9(
                 ClientKind::LoyalWhenNeeded,
                 ClientKind::Birds,
                 opts.scale.bt_runs,
                 &bt_cfg,
-                opts.seed ^ 0xC,
+                opts.scale.pra.seed ^ 0xC,
             )),
-            "fig10" => Ok(btfigs::fig10(opts.scale.bt_runs, &bt_cfg, opts.seed ^ 0x10)),
+            "fig10" => Ok(btfigs::fig10(
+                opts.scale.bt_runs,
+                &bt_cfg,
+                opts.scale.pra.seed ^ 0x10,
+            )),
             "gossip" => gossipfig::gossip_dsa(&opts.scale, &opts.out),
             "rep" => repfig::reputation_dsa(&opts.scale, &opts.out),
-            "whitewash" => Ok(repfig::whitewash_attack(opts.seed ^ 0x3E9)),
+            "whitewash" => Ok(repfig::whitewash_attack(opts.scale.pra.seed ^ 0x3E9)),
             "cross" => prafig::cross_domain(&opts.scale, &opts.out),
             "attacks" => attackfig::attacks(&opts.scale, &opts.out, opts.budgets.as_deref()),
             "evolution" => evofig::evolution(&opts.scale, &opts.out, &opts.mutants),
@@ -362,7 +281,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if opts.metrics || opts.trace || opts.alloc || opts.obs_listen.is_some() {
+    if opts.obs.any() {
         // Final memory boundary: one last RSS reading into the registry,
         // then fold the allocation tallies (no-op without --alloc) into
         // the snapshot the journal and epilogue both render from.
@@ -384,25 +303,14 @@ fn main() -> ExitCode {
                     std::process::id()
                 ),
                 binary: "experiments".to_string(),
-                // The journaled command drops `--obs-listen <addr>` and
-                // `--alloc`: they change what is observed, not what runs,
-                // and diff/regress group comparable runs by command
-                // string — a mem-gated cohort must include the baseline
-                // runs that had telemetry off.
-                command: {
-                    let mut kept: Vec<&str> = Vec::new();
-                    let mut skip_value = false;
-                    for a in raw_args.iter().map(String::as_str) {
-                        if skip_value {
-                            skip_value = false;
-                        } else if a == "--obs-listen" {
-                            skip_value = true;
-                        } else if a != "--alloc" {
-                            kept.push(a);
-                        }
-                    }
-                    format!("experiments {}", kept.join(" "))
-                },
+                // The journaled command drops `--alloc`: it changes what
+                // is observed, not what runs, and diff/regress group
+                // comparable runs by command string — a mem-gated cohort
+                // must include the baseline runs that had telemetry off.
+                command: format!(
+                    "experiments {}",
+                    take_switch(&raw_args, "--alloc").1.join(" ")
+                ),
                 timestamp_ms: ts_ms,
                 scale: Some(opts.scale.name.to_string()),
                 domain: None,
@@ -473,4 +381,94 @@ fn render_search(scale: &Scale) -> String {
         space.size()
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(tokens: &[&str]) -> Result<Option<Options>, String> {
+        let args: Vec<String> = tokens.iter().map(|t| (*t).to_string()).collect();
+        parse_args(&args)
+    }
+
+    fn options(tokens: &[&str]) -> Options {
+        match parse(tokens) {
+            Ok(Some(o)) => o,
+            Ok(None) => panic!("{tokens:?} asked for help"),
+            Err(e) => panic!("{tokens:?}: {e}"),
+        }
+    }
+
+    #[test]
+    fn help_in_either_spelling_anywhere() {
+        for help in [
+            &["-h"][..],
+            &["--help"],
+            &["--scale", "smoke", "fig1", "-h"],
+        ] {
+            assert!(matches!(parse(help), Ok(None)), "{help:?}");
+        }
+    }
+
+    #[test]
+    fn flags_switches_and_ids() {
+        let o = options(&[
+            "--scale",
+            "smoke",
+            "--seed",
+            "7",
+            "--threads",
+            "2",
+            "--out",
+            "elsewhere",
+            "--metrics",
+            "fig1",
+            "--alloc",
+            "fig2",
+        ]);
+        assert_eq!(o.scale.name, "smoke");
+        assert_eq!((o.scale.pra.seed, o.scale.pra.threads), (7, 2));
+        assert_eq!(o.out, PathBuf::from("elsewhere"));
+        assert_eq!(o.ids, ["fig1", "fig2"]);
+        assert!(o.obs.metrics && o.obs.alloc && !o.obs.trace);
+        assert_eq!(o.budgets, None);
+        assert_eq!(o.responses, [dsa_attribution::ResponseKind::Pra]);
+        let all = options(&["all"]);
+        assert_eq!(all.ids.len(), ALL_IDS.len());
+        assert_eq!((all.scale.name, all.scale.pra.seed), ("lab", 0x5EED));
+        assert_eq!(all.out, PathBuf::from("results"));
+    }
+
+    #[test]
+    fn repeated_mutants_add_up() {
+        let o = options(&["--mutants", "a,b", "evolution", "--mutants", " c"]);
+        assert_eq!(o.mutants, ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn budgets_form_a_strictly_increasing_grid_inside_the_unit_interval() {
+        let o = options(&["--budgets", "0.1, 0.3", "attacks"]);
+        assert_eq!(o.budgets, Some(vec![0.1, 0.3]));
+        for bad in ["0.3,0.1", "0.1,0.1", "NaN", "0", "1", "0.1,inf", ""] {
+            assert!(parse(&["--budgets", bad, "attacks"]).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn bad_input_is_an_error() {
+        for bad in [
+            &[][..],
+            &["--metrics"],
+            &["--scale", "huge", "fig1"],
+            &["--bogus", "1", "fig1"],
+            &["-x", "fig1"],
+            &["fig1", "--seed"],
+            &["--seed", "-1", "fig1"],
+            &["--threads", "NaN", "fig1"],
+            &["--response", "nope", "attribution"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
 }

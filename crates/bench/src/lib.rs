@@ -13,6 +13,7 @@
 pub mod attackfig;
 pub mod attribfig;
 pub mod btfigs;
+pub mod cli;
 pub mod evofig;
 pub mod figures;
 pub mod gossipfig;

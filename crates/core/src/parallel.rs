@@ -128,10 +128,6 @@ where
 /// Reports one fork-join region's load metrics; see
 /// [`parallel_map_indexed_scratch`] for the metric names.
 fn record_job(tasks: usize, busy_ns: &[u64]) {
-    // Fork-join boundaries are where sweep memory peaks (every worker's
-    // scratch is warm); give the RSS sampler a shot here. Inert unless
-    // a binary armed it, so library tests stay deterministic.
-    dsa_obs::mem::sample_throttled();
     dsa_obs::incr("parallel.jobs");
     dsa_obs::add("parallel.tasks", tasks as u64);
     let mut max = 0u64;

@@ -13,11 +13,12 @@
 //!   (monotone), live bytes (allocations minus deallocations) and the
 //!   live-bytes peak. [`publish_into`] folds them into a [`Snapshot`]
 //!   as `mem.alloc.count` / `mem.alloc.bytes` counters and a
-//!   `mem.alloc.peak_live_bytes` gauge, so every scrape and journal
+//!   `mem.alloc.peak_live_bytes` gauge, so every epilogue and journal
 //!   record carries them when counting is on.
 //! - **Thread-locals**: per-thread allocation count and live bytes, so
-//!   tests (and the engines' per-run steady-state histogram) can measure
-//!   a code region without bleed from other threads.
+//!   tests (and the engines' per-run steady-state histogram, and the
+//!   spans' self allocation counts in `dsa obs trace`) can measure a code
+//!   region without bleed from other threads.
 //!
 //! The tally path must not allocate (it runs inside the allocator) —
 //! it touches only atomics and const-initialized thread-local cells.
@@ -39,8 +40,8 @@ thread_local! {
 }
 
 /// Turns allocation tallying on — the `--alloc` flag. There is no off
-/// switch: the counters are monotone by contract (a scrape mid-run must
-/// never see them reset), and a process that wants them off simply never
+/// switch: the counters are monotone by contract (span self counts are
+/// differences of them), and a process that wants them off simply never
 /// enables them.
 pub fn enable() {
     ALLOC_ON.store(true, Ordering::Relaxed);

@@ -9,8 +9,9 @@
 //! counter, gauge, histogram and span — histograms and span durations
 //! reduced to count/sum plus p50/p95/p99 via [`Hist::quantile`]. The
 //! journal is the only per-run record a run leaves behind, and `dsa obs
-//! {runs,diff,regress,flame,gc}` are the only way to query it: the
-//! durable record of exploration the paper's method calls for.
+//! {runs,diff,regress,gc}` are the only way to query it: the durable
+//! record of exploration the paper's method calls for. (`dsa obs trace`
+//! runs its own traced workload and writes a trace file instead.)
 //!
 //! **Durability rules.** Appends are line-atomic (one `write` of one
 //! `\n`-terminated line in append mode); a crash can only ever corrupt

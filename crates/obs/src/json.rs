@@ -47,15 +47,6 @@ impl Json {
         }
     }
 
-    /// The value as a boolean, if it is one.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as a number, if it is one.
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {

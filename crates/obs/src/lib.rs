@@ -29,22 +29,16 @@
 //! only record a run persists), the Chrome-trace exporter ([`trace`],
 //! fed by [`enable_events`] / [`take_events`]), run diffing ([`diff`])
 //! and the journal-driven perf gate ([`regress`]) — the machinery behind
-//! `dsa obs {runs,trace,diff,regress}`.
-//!
-//! And on top of *that*, the live layer: Prometheus text exposition
-//! ([`expo`]), the embedded HTTP scrape server ([`serve`], behind
-//! `--obs-listen` inside a run) and the polling terminal dashboard
-//! ([`top`], behind `dsa obs top`). All of it std-only: the HTTP layer
-//! is a hand-rolled GET-only HTTP/1.1 on [`std::net::TcpListener`].
+//! `dsa obs {runs,trace,diff,regress,gc}`.
 //!
 //! The **memory dimension** completes the picture: an opt-in counting
-//! allocator ([`alloc`], the `--alloc` flag), `/proc/self/status` RSS
-//! sampling ([`mem`]), scratch-arena footprint gauges recorded by the
-//! engines via [`gauge_max`], and a folded-stacks flamegraph exporter
-//! ([`flame`], behind `dsa obs flame`) that can weight stacks by self
-//! time or by allocation counts. The journal's `mem` block and the
-//! `obs regress` gate make peak RSS, arena footprint and allocation
-//! totals first-class, regression-gated quantities alongside time.
+//! allocator ([`alloc`], the `--alloc` flag, which also gives every span
+//! end in a trace its self allocation count), the end-of-run
+//! `/proc/self/status` RSS reading ([`mem`]) and scratch-arena footprint
+//! gauges recorded by the engines via [`gauge_max`]. The journal's `mem`
+//! block and the `obs regress` gate make peak RSS, arena footprint and
+//! allocation totals first-class, regression-gated quantities alongside
+//! time.
 //!
 //! Everything is **off by default**. Until [`enable_metrics`] or
 //! [`enable_trace`] flips the global flag, every recording call is a
@@ -62,17 +56,13 @@
 
 pub mod alloc;
 pub mod diff;
-pub mod expo;
-pub mod flame;
 pub mod journal;
 pub mod json;
 pub mod mem;
 mod metrics;
 pub mod regress;
 mod report;
-pub mod serve;
 mod span;
-pub mod top;
 pub mod trace;
 
 pub use journal::{note_cache_event, JournalRecord, RunMeta};

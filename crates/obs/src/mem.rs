@@ -6,39 +6,13 @@
 //! [`gauge_max`] so a late low sample can never erase an earlier
 //! high-water mark.
 //!
-//! Sampling has three cadences, all gated on `metrics_enabled`:
-//!
-//! - [`sample`] — one explicit reading; the binaries call it right
-//!   before the end-of-run snapshot so every journal record carries
-//!   final RSS figures.
-//! - [`spawn_sampler`] — a detached background thread on a fixed
-//!   cadence, started alongside `--metrics`, so a live `/metrics`
-//!   scrape or `obs top` session sees RSS move during the run.
-//! - [`sample_throttled`] — a cheap hook for hot-ish paths (span
-//!   merges, worker-pool job completion): one relaxed atomic load when
-//!   not armed, and at most one procfs read per [`THROTTLE`] otherwise.
-//!
-//! The throttled hook is additionally gated on [`arm`], which only the
-//! binaries call. Library tests exercise spans and the worker pool with
-//! metrics enabled while asserting *exact* registry contents across
-//! thread counts; a time-dependent sample sneaking in from a merge hook
-//! would make those assertions flaky. Arming keeps the hooks inert in
-//! any process that has not opted into wall-clock-dependent telemetry.
+//! The binaries take one reading, [`sample`], right before the
+//! end-of-run snapshot, so every journal record carries final RSS
+//! figures. One is enough: `VmHWM` is the kernel's own high-water mark
+//! over the whole process lifetime, and `mem.rss_bytes` is a last-value
+//! gauge.
 
 use crate::metrics::{gauge_max, gauge_set, metrics_enabled};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
-
-/// Minimum spacing between procfs reads from [`sample_throttled`].
-pub const THROTTLE: Duration = Duration::from_millis(100);
-
-/// Default cadence for the background sampler thread.
-pub const SAMPLER_INTERVAL: Duration = Duration::from_millis(250);
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static LAST_SAMPLE_NS: AtomicU64 = AtomicU64::new(0);
-static SAMPLER_RUNNING: AtomicBool = AtomicBool::new(false);
 
 /// One reading of the process's resident set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,19 +21,6 @@ pub struct MemSample {
     pub rss_bytes: u64,
     /// Kernel-tracked resident high-water mark in bytes (`VmHWM`).
     pub rss_peak_bytes: u64,
-}
-
-/// Arms the passive sampling hooks ([`sample_throttled`]). Called by
-/// the binaries when metrics are on; library code and tests never arm,
-/// so span/worker instrumentation stays deterministic for them.
-pub fn arm() {
-    ARMED.store(true, Ordering::Relaxed);
-}
-
-/// Whether the passive hooks are armed.
-#[must_use]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
 }
 
 /// Heap bytes held by a `Vec`'s allocation: capacity × element size.
@@ -124,52 +85,6 @@ pub fn sample() -> Option<MemSample> {
     Some(s)
 }
 
-/// Passive sampling hook for span merges and worker-pool completions:
-/// costs one relaxed load unless [`arm`]ed, and samples at most once
-/// per [`THROTTLE`] otherwise.
-pub fn sample_throttled() {
-    if !armed() || !metrics_enabled() {
-        return;
-    }
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let now_ns = EPOCH
-        .get_or_init(Instant::now)
-        .elapsed()
-        .as_nanos()
-        .min(u128::from(u64::MAX)) as u64;
-    let last = LAST_SAMPLE_NS.load(Ordering::Relaxed);
-    // 0 means "never sampled" — the first armed call always reads.
-    if last != 0 && now_ns.saturating_sub(last) < THROTTLE.as_nanos() as u64 {
-        return;
-    }
-    if LAST_SAMPLE_NS
-        .compare_exchange(last, now_ns.max(1), Ordering::Relaxed, Ordering::Relaxed)
-        .is_ok()
-    {
-        sample();
-    }
-}
-
-/// Starts the detached background sampler (and arms the passive
-/// hooks). Idempotent: a second call is a no-op. The thread samples
-/// every `interval` for the life of the process; each iteration is
-/// gated on `metrics_enabled`, so it costs one atomic load per tick
-/// if metrics are later turned off.
-pub fn spawn_sampler(interval: Duration) {
-    arm();
-    if SAMPLER_RUNNING.swap(true, Ordering::Relaxed) {
-        return;
-    }
-    std::thread::Builder::new()
-        .name("dsa-obs-mem".to_string())
-        .spawn(move || loop {
-            std::thread::sleep(interval);
-            sample();
-        })
-        // Failing to spawn degrades to boundary-only sampling.
-        .ok();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,24 +134,6 @@ mod tests {
             let peak = snap.gauges["mem.rss_peak_bytes"];
             assert!(rss > 0.0);
             assert!(peak >= rss);
-        }
-        crate::disable();
-        crate::reset();
-    }
-
-    #[test]
-    fn throttled_hook_is_inert_until_armed() {
-        let _g = crate::tests::LOCK.lock().unwrap();
-        crate::enable_metrics();
-        crate::reset();
-        if !armed() {
-            sample_throttled();
-            assert!(
-                !crate::report::snapshot()
-                    .gauges
-                    .contains_key("mem.rss_bytes"),
-                "unarmed throttled sampling must not publish gauges"
-            );
         }
         crate::disable();
         crate::reset();

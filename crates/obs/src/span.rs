@@ -116,10 +116,6 @@ impl LocalSpans {
     }
 
     fn merge_into_global(&mut self) {
-        // A merge marks a span boundary worth a (throttled, armed-only)
-        // RSS reading — merges happen at thread exit and explicit
-        // flushes, never inside the span hot path.
-        crate::mem::sample_throttled();
         if !self.agg.is_empty() {
             let mut global = GLOBAL.lock().expect("span registry poisoned");
             for (name, stats) in std::mem::take(&mut self.agg) {

@@ -6,6 +6,10 @@
 //! nested `"B"`/`"E"` duration events mirroring the span tree, and the
 //! span's self time attached to the `"E"` event as
 //! `args.self_ns` — so a flame view shows both wall and self time.
+//! Perfetto and speedscope draw the per-thread timelines as flame
+//! graphs. Under `--alloc` the `"E"` event also carries the span's self
+//! allocation count as `args.self_allocs` when it is nonzero; without
+//! counting every count is 0 and the field never appears.
 //!
 //! Timestamps are microseconds (the format's unit) with nanosecond
 //! precision kept in the fractional part, measured from the process's
@@ -96,12 +100,16 @@ pub fn chrome_trace(events: &[TraceEvent], process_name: &str) -> String {
             let _ = write!(
                 out,
                 ",\n{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"E\",\"pid\":1,\
-                 \"tid\":{},\"ts\":{},\"args\":{{\"self_ns\":{}}}}}",
+                 \"tid\":{},\"ts\":{},\"args\":{{\"self_ns\":{}",
                 json::escape(&e.name),
                 e.track,
                 ts_us(e.ts_ns),
                 e.self_ns
             );
+            if e.alloc > 0 {
+                let _ = write!(out, ",\"self_allocs\":{}", e.alloc);
+            }
+            out.push_str("}}");
         } else {
             stack.push(e.name.clone());
             let _ = write!(
@@ -231,6 +239,36 @@ mod tests {
             self_ns: if end { 7 } else { 0 },
             alloc: if end { 2 } else { 0 },
         }
+    }
+
+    #[test]
+    fn self_allocs_appear_only_when_counted() {
+        let mut events = vec![
+            ev("outer", 1, 0, false),
+            ev("inner", 1, 100, false),
+            ev("inner", 1, 200, true),
+            ev("outer", 1, 300, true),
+        ];
+        events[3].alloc = 0;
+        let doc = json::parse(&chrome_trace(&events, "allocs")).unwrap();
+        let ends: Vec<&Json> = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("E"))
+            .collect();
+        let allocs = |e: &Json| e.get("args").and_then(|a| a.get("self_allocs")).cloned();
+        assert_eq!(
+            allocs(ends[0]).and_then(|v| v.as_u64()),
+            Some(2),
+            "inner counted 2"
+        );
+        assert_eq!(allocs(ends[1]), None, "a zero count adds no field");
+        for e in &mut events {
+            e.alloc = 0;
+        }
+        assert!(!chrome_trace(&events, "plain").contains("self_allocs"));
     }
 
     #[test]
