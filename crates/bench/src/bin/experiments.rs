@@ -455,6 +455,47 @@ mod tests {
         }
     }
 
+    /// Every flag and switch `experiments` takes, the values most likely
+    /// to slip past a check, and ids.
+    const TOKENS: &[&str] = &[
+        "--scale",
+        "--seed",
+        "--out",
+        "--threads",
+        "--budgets",
+        "--mutants",
+        "--response",
+        "--metrics",
+        "--trace",
+        "--alloc",
+        "--help",
+        "-h",
+        "NaN",
+        "inf",
+        "-1",
+        "0",
+        "",
+        "0.1,0.2",
+        "smoke",
+        "pra",
+        "fig1",
+        "all",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Any argv over the alphabet parses to options, help or an
+        /// error, never a panic.
+        #[test]
+        fn parsing_never_panics(picks in proptest::collection::vec(0usize..TOKENS.len(), 0..10)) {
+            let tokens: Vec<&str> = picks.iter().map(|&i| TOKENS[i]).collect();
+            if let Ok(Some(o)) = parse(&tokens) {
+                proptest::prop_assert!(!o.ids.is_empty());
+            }
+        }
+    }
+
     #[test]
     fn bad_input_is_an_error() {
         for bad in [

@@ -322,22 +322,44 @@ mod tests {
     /// Both binaries' flags that take a value.
     const FLAGS: &[&str] = &[
         "--seed",
-        "--runs",
+        "--churn",
+        "--effort",
         "--frac",
+        "--runs",
+        "--sample",
+        "--threads",
         "--budget",
-        "--budgets",
-        "--mutants",
-        "--threshold",
-        "--keep",
-        "--last",
-        "--window",
+        "--param",
+        "--steps",
+        "--response",
         "--scale",
         "--out",
-        "--threads",
+        "--top",
+        "--improve",
+        "--guard",
+        "--tolerance",
+        "--restarts",
+        "--domain",
+        "--last",
+        "--threshold",
+        "--journal",
+        "--window",
+        "--floor",
+        "--baselines",
+        "--keep",
+        "--budgets",
+        "--mutants",
     ];
 
     /// The bare switches the binaries strip before splitting.
-    const SWITCHES: &[&str] = &["--metrics", "--trace", "--alloc", "--json"];
+    const SWITCHES: &[&str] = &[
+        "--metrics",
+        "--trace",
+        "--alloc",
+        "--json",
+        "--dry-run",
+        "--all",
+    ];
 
     /// The values most likely to slip past a check.
     const VALUES: &[&str] = &[
@@ -368,7 +390,7 @@ mod tests {
         /// Any argv over the alphabet parses to a result, never a panic;
         /// every shared check answers too.
         #[test]
-        fn parsing_never_panics(picks in proptest::collection::vec(0usize..30, 0..12)) {
+        fn parsing_never_panics(picks in proptest::collection::vec(0usize..48, 0..12)) {
             let args: Vec<String> = picks.iter().map(|&i| token(i).to_string()).collect();
             let rest = strip_switches(&args);
             match split_flags(&rest) {
@@ -395,7 +417,10 @@ mod tests {
         /// a flag given once reads back as its value.
         #[test]
         fn a_flag_given_once_reads_back(
-            items in proptest::collection::vec((0usize..3, 0usize..13, 0usize..10), 0..10)
+            items in proptest::collection::vec(
+                (0usize..3, 0usize..FLAGS.len(), 0usize..VALUES.len()),
+                0..10,
+            )
         ) {
             let mut args = Vec::new();
             let mut pairs = Vec::new();
