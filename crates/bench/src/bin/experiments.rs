@@ -512,4 +512,18 @@ mod tests {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
     }
+
+    /// FNV-1a over the search demo's text at smoke scale.
+    const GOLDEN_SEARCH: u64 = 0xe1c6_ff44_2f1f_4bdc;
+
+    #[test]
+    fn search_is_pinned() {
+        let s = render_search(&Scale::smoke());
+        assert!(s.contains("hill-climb") && s.contains("evolution"), "{s}");
+        let h = dsa_core::domain::fnv1a(s.as_bytes());
+        assert_eq!(
+            h, GOLDEN_SEARCH,
+            "search digest {h:#018x}; it printed:\n{s}"
+        );
+    }
 }
