@@ -205,7 +205,7 @@ fn main() -> ExitCode {
         eprintln!(
             "[experiments] running PRA sweep at scale '{}' (cached at {}) ...",
             scale.name,
-            SweepData::cache_path(scale, out).display()
+            SweepData::cache_key(scale).cache_path(out).display()
         );
         let data = SweepData::load_or_compute(scale, out)?;
         sweep = Some(data.clone());
@@ -348,11 +348,10 @@ fn render_table2() -> String {
 
 /// The §7 future-work demo: heuristic exploration instead of a full sweep.
 fn render_search(scale: &Scale) -> String {
+    use dsa_core::domain::Domain as _;
     use std::fmt::Write as _;
     let space = dsa_swarm::protocol::design_space();
-    let sim = dsa_swarm::adapter::SwarmSim {
-        config: scale.sim.clone(),
-    };
+    let sim = dsa_swarm::adapter::SwarmDomain.sim(scale.effort(), 0.0);
     // Objective: homogeneous performance at one seed (cheap proxy).
     let objective = |idx: usize| {
         dsa_core::sim::EncounterSim::run_homogeneous(

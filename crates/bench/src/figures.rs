@@ -3,14 +3,14 @@
 use crate::prafig::rank_desc;
 use crate::scale::Scale;
 use crate::sweep::SweepData;
-use dsa_core::pra::performance_phase;
+use dsa_core::domain::Domain;
+use dsa_core::pra::{performance_phase, tournament_rates};
 use dsa_stats::ascii;
 use dsa_stats::ccdf::Ccdf;
 use dsa_stats::correlation::pearson;
 use dsa_stats::histogram::{Histogram, Histogram2d};
-use dsa_swarm::adapter::SwarmSim;
+use dsa_swarm::adapter::SwarmDomain;
 use dsa_swarm::protocol::{Allocation, Ranking, StrangerPolicy, SwarmProtocol};
-use dsa_workloads::churn::ChurnModel;
 use std::fmt::Write as _;
 
 /// Mean partner count `k` over protocol indices (the quantity Figures
@@ -295,13 +295,7 @@ pub fn churn_experiment(scale: &Scale) -> String {
     let protocols: Vec<SwarmProtocol> = SwarmProtocol::all().collect();
     let mut out = String::from("Churn experiment: top-15 mean partner count by churn rate\n");
     for rate in [0.0, 0.01, 0.1] {
-        let mut sim_cfg = scale.sim.clone();
-        sim_cfg.churn = if rate > 0.0 {
-            ChurnModel::PerRound { rate }
-        } else {
-            ChurnModel::None
-        };
-        let sim = SwarmSim { config: sim_cfg };
+        let sim = SwarmDomain.sim(scale.effort(), rate);
         let perf = performance_phase(&sim, &protocols, &scale.pra);
         let idx = rank_desc(&perf);
         let mean_k = mean_partner_k(&protocols, idx.iter().take(15).copied());
@@ -316,11 +310,13 @@ pub fn churn_experiment(scale: &Scale) -> String {
 }
 
 /// §4.3.2's methodology validation: Pearson correlation between the
-/// 50/50 and 90/10 robustness tournaments (paper: 0.97).
+/// sweep's 50/50 robustness and a 90/10 tournament over its protocols
+/// (paper: 0.97).
 #[must_use]
 pub fn corr_9010(data: &SweepData, scale: &Scale) -> String {
-    let (r50, r90) = data.robustness_9010(scale);
-    let r = pearson(&r50, &r90);
+    let sim = SwarmDomain.sim(scale.effort(), 0.0);
+    let r90 = tournament_rates(&sim, &data.protocols, 0.9, &scale.pra, 7);
+    let r = pearson(&data.results.robustness, &r90);
     format!("Robustness 50/50 vs 90/10: Pearson r = {r:.3} (paper: 0.97)\n")
 }
 

@@ -9,13 +9,12 @@
 use dsa_core::domain::Effort;
 use dsa_core::pra::PraConfig;
 use dsa_core::tournament::OpponentSampling;
-use dsa_swarm::engine::SimConfig;
 
-/// A complete scale setting for the sweep-based experiments.
+/// A complete scale setting for the sweep-based experiments. The
+/// simulator parameters are not part of it: every domain, swarm
+/// included, derives them from [`Scale::effort`] in `Domain::sim`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scale {
-    /// Cycle-simulator configuration (peers, rounds, bandwidth, churn).
-    pub sim: SimConfig,
     /// PRA configuration (runs, sampling, threads, seed).
     pub pra: PraConfig,
     /// Runs per point in the piece-level BitTorrent experiments.
@@ -29,10 +28,6 @@ impl Scale {
     #[must_use]
     pub fn smoke() -> Self {
         Self {
-            sim: SimConfig {
-                rounds: 60,
-                ..SimConfig::default()
-            },
             pra: PraConfig {
                 performance_runs: 1,
                 encounter_runs: 1,
@@ -51,10 +46,6 @@ impl Scale {
     #[must_use]
     pub fn lab() -> Self {
         Self {
-            sim: SimConfig {
-                rounds: 120,
-                ..SimConfig::default()
-            },
             pra: PraConfig {
                 performance_runs: 2,
                 encounter_runs: 1,
@@ -74,7 +65,6 @@ impl Scale {
     #[must_use]
     pub fn paper() -> Self {
         Self {
-            sim: SimConfig::default(),
             pra: PraConfig {
                 performance_runs: 100,
                 encounter_runs: 10,
@@ -88,9 +78,8 @@ impl Scale {
         }
     }
 
-    /// The generic effort level matching this scale, for domains driven
-    /// through the registry (their simulator parameters mirror these
-    /// presets domain-side).
+    /// The effort level matching this scale: each domain's `Domain::sim`
+    /// turns it into that domain's simulator parameters.
     #[must_use]
     pub fn effort(&self) -> Effort {
         Effort::by_name(self.name).unwrap_or(Effort::Lab)
@@ -122,10 +111,15 @@ mod tests {
 
     #[test]
     fn scales_are_ordered_by_cost() {
+        use dsa_core::domain::Domain;
+        let rounds = |scale: &Scale| {
+            let sim = dsa_swarm::adapter::SwarmDomain.sim(scale.effort(), 0.0);
+            sim.config.rounds
+        };
         let s = Scale::smoke();
         let l = Scale::lab();
         let p = Scale::paper();
-        assert!(s.sim.rounds <= l.sim.rounds && l.sim.rounds <= p.sim.rounds);
+        assert!(rounds(&s) <= rounds(&l) && rounds(&l) <= rounds(&p));
         assert!(s.pra.performance_runs <= l.pra.performance_runs);
         assert!(p.pra.sampling == OpponentSampling::Exhaustive);
     }

@@ -2,19 +2,18 @@
 //!
 //! Figures 2–8 and Table 3 are all views of one sweep over the
 //! 3270-protocol swarm space, and they need *typed* protocol descriptors
-//! ([`SwarmProtocol`]) to group by dimension. This module wraps the
-//! generic content-addressed cache ([`dsa_core::cache`]) — shared with
-//! the gossip and reputation sweeps — in that typed interface. The cache
-//! key is `(domain, space hash, scale, seed)`; the swarm cache file is
+//! ([`SwarmProtocol`]) to group by dimension. The sweep itself is the
+//! registry's: [`SweepKey::of`] and [`DomainSweep::load_or_compute`] over
+//! the swarm domain at the scale's effort, the same calls that serve the
+//! gossip and reputation sweeps. This module only pairs its results with
+//! the typed descriptors. The swarm cache file is
 //! `results/pra-swarm-<scale>.csv`.
 
 use crate::scale::Scale;
 use dsa_core::cache::{DomainSweep, SweepKey};
-use dsa_core::pra::{quantify, tournament_rates};
 use dsa_core::results::PraResults;
-use dsa_swarm::adapter::SwarmSim;
 use dsa_swarm::protocol::SwarmProtocol;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A finished sweep: the protocol list (index order) plus PRA results.
 #[derive(Debug, Clone)]
@@ -28,35 +27,11 @@ pub struct SweepData {
 }
 
 impl SweepData {
-    /// Runs the full sweep at the given scale (no caching).
-    #[must_use]
-    pub fn compute(scale: &Scale) -> Self {
-        let protocols: Vec<SwarmProtocol> = SwarmProtocol::all().collect();
-        let sim = SwarmSim {
-            config: scale.sim.clone(),
-        };
-        let results = quantify(&sim, &protocols, &scale.pra);
-        Self {
-            protocols,
-            results,
-            scale_name: scale.name.to_string(),
-        }
-    }
-
-    /// The generic cache key of the swarm sweep at a scale. The
-    /// simulator signature is taken from `scale.sim` — identical to the
-    /// domain's effort mapping for the standard scales, so this path and
-    /// the registry path share cache entries, but diverging under any
-    /// parameter tweak so neither can poison the other.
+    /// The generic cache key of the swarm sweep at a scale.
     #[must_use]
     pub fn cache_key(scale: &Scale) -> SweepKey {
-        let domain = dsa_swarm::adapter::register();
-        SweepKey::with_signature(
-            &*domain,
-            scale.name,
-            &format!("{:?}", scale.sim),
-            &scale.pra,
-        )
+        let swarm = dsa_swarm::adapter::register();
+        SweepKey::of(&*swarm, scale.name, scale.effort(), &scale.pra)
     }
 
     /// Loads the cached sweep for a scale, or computes and caches it.
@@ -68,39 +43,22 @@ impl SweepData {
     /// Returns an error if a matching cache exists but cannot be parsed,
     /// or the cache directory cannot be written.
     pub fn load_or_compute(scale: &Scale, out_dir: &Path) -> Result<Self, String> {
-        let sweep = DomainSweep::load_or_compute_with(Self::cache_key(scale), out_dir, || {
-            let data = Self::compute(scale);
-            let names = data.protocols.iter().map(ToString::to_string).collect();
-            (names, data.results)
-        })?;
+        let swarm = dsa_swarm::adapter::register();
+        let sweep =
+            DomainSweep::load_or_compute(&*swarm, scale.effort(), &scale.pra, scale.name, out_dir)?;
         Ok(Self {
             protocols: SwarmProtocol::all().collect(),
             results: sweep.results,
             scale_name: scale.name.to_string(),
         })
     }
-
-    /// The cache file path for a scale.
-    #[must_use]
-    pub fn cache_path(scale: &Scale, out_dir: &Path) -> PathBuf {
-        Self::cache_key(scale).cache_path(out_dir)
-    }
-
-    /// Runs the 90/10 robustness variant (§4.3.2's validation) and
-    /// returns (50/50 rates, 90/10 rates).
-    #[must_use]
-    pub fn robustness_9010(&self, scale: &Scale) -> (Vec<f64>, Vec<f64>) {
-        let sim = SwarmSim {
-            config: scale.sim.clone(),
-        };
-        let r9010 = tournament_rates(&sim, &self.protocols, 0.9, &scale.pra, 7);
-        (self.results.robustness.clone(), r9010)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsa_core::domain::{Domain, Effort};
+    use dsa_core::pra::quantify;
 
     /// A micro-sweep over a protocol subset exercises the plumbing
     /// without paying for the full space.
@@ -112,9 +70,7 @@ mod tests {
             dsa_swarm::presets::birds(),
             dsa_swarm::presets::freerider(),
         ];
-        let sim = SwarmSim {
-            config: scale.sim.clone(),
-        };
+        let sim = dsa_swarm::adapter::SwarmDomain.sim(Effort::Smoke, 0.0);
         let results = quantify(&sim, &protocols, &scale.pra);
         assert_eq!(results.len(), 3);
         // The freerider must be the worst performer of the three.
@@ -122,48 +78,36 @@ mod tests {
         assert!(results.performance[2] < results.performance[1]);
     }
 
-    /// The swarm simulator parameters per effort level are defined in
-    /// two places — the bench `Scale` presets and `SwarmDomain::sim` —
-    /// and both sweep paths write the same cache file. They must agree
-    /// on the full key, or each path would forever invalidate the
-    /// other's cache.
-    #[test]
-    fn typed_and_registry_cache_keys_agree() {
-        let domain = dsa_swarm::adapter::register();
-        for scale in [Scale::smoke(), Scale::lab(), Scale::paper()] {
-            let typed = SweepData::cache_key(&scale);
-            let registry = SweepKey::of(&*domain, scale.name, scale.effort(), &scale.pra);
-            assert_eq!(typed, registry, "key mismatch at scale '{}'", scale.name);
-        }
-    }
-
+    /// A synthetic sweep stored under the smoke key loads back as it was
+    /// written, and the key of another seed does not validate the same
+    /// file. Nothing is simulated.
     #[test]
     fn cache_roundtrip() {
         let _guard = crate::test_lock::cache();
         let dir = std::env::temp_dir().join(format!("dsa-sweep-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // Shrink the space cost: smoke scale with tiny parameters.
-        let mut scale = Scale::smoke();
-        scale.sim.rounds = 10;
-        scale.sim.peers = 12;
-        scale.pra.performance_runs = 1;
-        scale.pra.encounter_runs = 1;
-        scale.pra.sampling = dsa_core::tournament::OpponentSampling::Sampled(1);
-        let a = SweepData::load_or_compute(&scale, &dir).expect("compute");
-        assert!(SweepData::cache_path(&scale, &dir).exists());
-        let b = SweepData::load_or_compute(&scale, &dir).expect("load");
-        assert_eq!(a.results, b.results);
+        let scale = Scale::smoke();
+        let domain = dsa_swarm::adapter::register();
+        let raw: Vec<f64> = (0..domain.size()).map(|i| (i % 11) as f64).collect();
+        let rob: Vec<f64> = (0..domain.size()).map(|i| (i % 7) as f64 / 6.0).collect();
+        let perf = dsa_stats::describe::normalize_by_max(&raw);
+        let sweep = DomainSweep {
+            key: SweepData::cache_key(&scale),
+            names: domain.codes(),
+            results: PraResults::new(raw, perf, rob.clone(), rob),
+            from_cache: false,
+        };
+        let path = sweep.store(&dir).expect("store");
+        let loaded = SweepData::load_or_compute(&scale, &dir).expect("load");
+        assert_eq!(loaded.results, sweep.results);
+        assert_eq!(loaded.protocols.len(), domain.size());
         // A different seed is a different sweep: the stamped cache must
         // not be trusted for it.
         let mut reseeded = scale.clone();
         reseeded.pra.seed ^= 1;
-        assert_eq!(
-            SweepData::cache_path(&scale, &dir),
-            SweepData::cache_path(&reseeded, &dir),
-            "same file, different key"
-        );
-        let c = SweepData::load_or_compute(&reseeded, &dir).expect("recompute");
-        assert_ne!(a.results, c.results);
+        let key = SweepData::cache_key(&reseeded);
+        assert_eq!(key.cache_path(&dir), path, "same file, different key");
+        assert!(DomainSweep::load(&key, &dir).expect("read").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -81,25 +81,11 @@ impl SweepKey {
     /// configuration (the seed is `config.seed`).
     #[must_use]
     pub fn of(domain: &dyn DynDomain, scale: &str, effort: Effort, config: &PraConfig) -> Self {
-        Self::with_signature(domain, scale, &domain.sim_signature(effort), config)
-    }
-
-    /// Builds the key from an explicit simulator signature — for callers
-    /// that construct the simulator themselves rather than through the
-    /// domain's effort mapping. Both paths must fingerprint the same
-    /// parameters the same way to share a cache entry.
-    #[must_use]
-    pub fn with_signature(
-        domain: &dyn DynDomain,
-        scale: &str,
-        sim_signature: &str,
-        config: &PraConfig,
-    ) -> Self {
         Self {
             domain: domain.name().to_string(),
             space_hash: domain.space_hash(),
             scale: scale.to_string(),
-            params: params_hash(sim_signature, config),
+            params: params_hash(&domain.sim_signature(effort), config),
             seed: config.seed,
             len: domain.size(),
             attack: 0,
@@ -396,32 +382,6 @@ impl DomainSweep {
         }))
     }
 
-    /// Loads the cached sweep for `key`, or computes it with `compute`
-    /// and caches the result.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when a matching cache exists but is corrupt, or
-    /// the cache directory/file cannot be written.
-    pub fn load_or_compute_with(
-        key: SweepKey,
-        out_dir: &Path,
-        compute: impl FnOnce() -> (Vec<String>, PraResults),
-    ) -> Result<Self, String> {
-        if let Some(cached) = Self::load(&key, out_dir)? {
-            return Ok(cached);
-        }
-        let (names, results) = compute();
-        let sweep = Self {
-            key,
-            names,
-            results,
-            from_cache: false,
-        };
-        sweep.store(out_dir)?;
-        Ok(sweep)
-    }
-
     /// Loads the cached sweep for a domain at a scale, or runs the full
     /// PRA quantification via the domain's erased simulator and caches
     /// it. The key's seed is `config.seed`.
@@ -438,9 +398,17 @@ impl DomainSweep {
         out_dir: &Path,
     ) -> Result<Self, String> {
         let key = SweepKey::of(domain, scale, effort, config);
-        Self::load_or_compute_with(key, out_dir, || {
-            (domain.codes(), domain.quantify_all(effort, config))
-        })
+        if let Some(cached) = Self::load(&key, out_dir)? {
+            return Ok(cached);
+        }
+        let sweep = Self {
+            key,
+            names: domain.codes(),
+            results: domain.quantify_all(effort, config),
+            from_cache: false,
+        };
+        sweep.store(out_dir)?;
+        Ok(sweep)
     }
 
     /// Writes the sweep to its cache path via [`write_stamped`]
@@ -515,16 +483,16 @@ mod tests {
         let first =
             DomainSweep::load_or_compute(&*domain, Effort::Smoke, &cfg, "smoke", &dir).unwrap();
         assert!(!first.from_cache);
-        // Same path, but the caller's space hash differs (as if the
-        // domain's actualization changed between runs).
-        let mut stale_key = SweepKey::of(&*domain, "smoke", Effort::Smoke, &cfg);
-        stale_key.space_hash ^= 0xDEAD_BEEF;
-        assert!(DomainSweep::load(&stale_key, &dir).unwrap().is_none());
-        let recomputed = DomainSweep::load_or_compute_with(stale_key, &dir, || {
-            (domain.codes(), domain.quantify_all(Effort::Smoke, &cfg))
-        })
-        .unwrap();
+        // Re-stamp the same file with another space hash, as if the
+        // domain's actualization changed since it was written.
+        let mut stale = first.clone();
+        stale.key.space_hash ^= 0xDEAD_BEEF;
+        stale.store(&dir).unwrap();
+        assert!(DomainSweep::load(&first.key, &dir).unwrap().is_none());
+        let recomputed =
+            DomainSweep::load_or_compute(&*domain, Effort::Smoke, &cfg, "smoke", &dir).unwrap();
         assert!(!recomputed.from_cache);
+        assert_eq!(recomputed.results, first.results);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,24 +17,6 @@ pub struct SwarmSim {
     pub config: SimConfig,
 }
 
-impl SwarmSim {
-    /// Creates the adapter with the paper's §4.3.1 parameters.
-    #[must_use]
-    pub fn paper() -> Self {
-        Self {
-            config: SimConfig::default(),
-        }
-    }
-
-    /// Creates the adapter with the reduced laptop-scale parameters.
-    #[must_use]
-    pub fn fast() -> Self {
-        Self {
-            config: SimConfig::fast(),
-        }
-    }
-}
-
 impl EncounterSim for SwarmSim {
     type Protocol = SwarmProtocol;
 
@@ -142,9 +124,9 @@ impl Domain for SwarmDomain {
     }
 
     fn sim(&self, effort: Effort, churn: f64) -> SwarmSim {
-        // Rounds per effort level mirror the harness scale presets
-        // (`dsa-bench`'s smoke/lab/paper) so generic and typed sweeps
-        // agree bit for bit.
+        // The one place an effort level's swarm simulator is decided:
+        // the sweep, its cache key and every swarm figure build theirs
+        // here. Only the rounds vary; paper effort is §4.3.1 as is.
         let rounds = match effort {
             Effort::Smoke => 60,
             Effort::Lab => 120,
@@ -163,10 +145,9 @@ impl Domain for SwarmDomain {
     }
 
     fn sim_signature(&self, effort: Effort) -> String {
-        // Fingerprint the SimConfig itself (not the SwarmSim wrapper) so
-        // the typed sweep path in dsa-bench, which builds its SimConfig
-        // from a Scale preset, produces the same signature and shares
-        // the cache entry.
+        // Fingerprint the SimConfig itself, not the SwarmSim wrapper the
+        // default prints: every swarm cache on disk is stamped this way,
+        // and a different signature would invalidate them all.
         format!("{:?}", self.sim(effort, 0.0).config)
     }
 

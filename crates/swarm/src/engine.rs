@@ -63,19 +63,6 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// A reduced-scale configuration for tests and laptop sweeps: fewer
-    /// rounds, same population. The transient dynamics that decide the
-    /// orderings play out well within 150 rounds.
-    #[must_use]
-    pub fn fast() -> Self {
-        Self {
-            rounds: 150,
-            ..Self::default()
-        }
-    }
-}
-
 /// Result of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
