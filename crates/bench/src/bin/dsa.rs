@@ -59,7 +59,9 @@
 //! --keep` must be at least 1.
 //!
 //! Domains: `swarm` (3270 protocols), `gossip` (108), `rep` (288).
-//! A bare command (`dsa protocols ...`) defaults to the swarm domain.
+//! A bare command (`dsa protocols ...`) defaults to the swarm domain, and
+//! its journal record names `swarm`. `pra` and `evolve` count a protocol
+//! listed twice (by index, preset or alias) once.
 //! Attack models (`dsa-attacks`): sybil, collusion, whitewash, adaptive —
 //! all parameterized adversaries that work on every domain.
 //! `evolve` (`dsa-evolution`) runs population dynamics over a candidate
@@ -210,10 +212,16 @@ fn journal_dir(args: &[String]) -> std::path::PathBuf {
 /// (domain, scale/effort, seed, threads) without re-running any
 /// command-specific parser.
 fn run_meta_from_args(args: &[String], binary: &str, ts_ms: u64) -> dsa_obs::RunMeta {
-    let domain = args
-        .first()
-        .filter(|name| dsa_core::domain::lookup(name).is_some())
-        .cloned();
+    // The journaled command drops the observability switches: they
+    // change what is recorded, not what runs, and diff/regress group
+    // comparable runs by command string. The domain is read from it, so
+    // a switch may come first; bare domain commands run swarm.
+    let (_, command) = ObsSwitches::take(args);
+    let domain = match command.first().map(String::as_str) {
+        Some(name) if dsa_core::domain::lookup(name).is_some() => Some(name.to_string()),
+        Some(name) if DOMAIN_COMMANDS.contains(&name) => Some("swarm".to_string()),
+        _ => None,
+    };
     let scale = arg_value(args, "--scale")
         .or_else(|| arg_value(args, "--effort"))
         .map(str::to_string);
@@ -221,10 +229,6 @@ fn run_meta_from_args(args: &[String], binary: &str, ts_ms: u64) -> dsa_obs::Run
     let requested = arg_value(args, "--threads")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
-    // The journaled command drops the observability switches: they
-    // change what is recorded, not what runs, and diff/regress group
-    // comparable runs by command string.
-    let (_, command) = ObsSwitches::take(args);
     dsa_obs::RunMeta {
         run_id: format!("{binary}-{ts_ms}-{}", std::process::id()),
         binary: binary.to_string(),
@@ -418,12 +422,12 @@ fn cmd_pra(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> {
     let indices: Vec<usize> = if all {
         (0..domain.size()).collect()
     } else {
-        pos.iter()
-            .map(|t| domain.parse(t))
-            .collect::<Result<_, _>>()?
+        distinct_protocols(domain, &pos)?
     };
     if indices.len() < 2 {
-        return Err("pra needs at least two protocols (or none for the full space)".into());
+        return Err(
+            "pra needs at least two distinct protocols (or none for the full space)".into(),
+        );
     }
     let config = PraConfig {
         performance_runs: 3,
@@ -585,6 +589,19 @@ fn cmd_evolve(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> {
     }
 }
 
+/// Parses protocol tokens into distinct indices, in first-listed order:
+/// a protocol named twice (by index, preset or alias) is one protocol.
+fn distinct_protocols(domain: &dyn DynDomain, tokens: &[String]) -> Result<Vec<usize>, String> {
+    let mut out: Vec<usize> = Vec::new();
+    for token in tokens {
+        let index = domain.parse(token)?;
+        if !out.contains(&index) {
+            out.push(index);
+        }
+    }
+    Ok(out)
+}
+
 /// Parses the shared evolve arguments: candidate tokens (default: the
 /// domain's presets + canonical attackers) and the dynamics flags.
 fn evolve_setup(
@@ -599,14 +616,7 @@ fn evolve_setup(
     let candidates = if pos.is_empty() {
         dsa_evolution::default_candidates(domain)
     } else {
-        let mut out: Vec<usize> = Vec::new();
-        for token in &pos {
-            let index = domain.parse(token)?;
-            if !out.contains(&index) {
-                out.push(index);
-            }
-        }
-        out
+        distinct_protocols(domain, &pos)?
     };
     if candidates.len() < 2 {
         return Err("evolve needs at least two distinct candidates".into());
@@ -1313,6 +1323,34 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::copy(FIXTURE, dir.join(dsa_obs::journal::JOURNAL_FILE)).unwrap();
         dir
+    }
+
+    #[test]
+    fn journal_reads_the_domain_after_the_switches() {
+        dsa_bench::register_domains();
+        let meta = |tokens: &[&str]| run_meta_from_args(&argv(tokens), "dsa", 0);
+        let first = meta(&["--trace", "rep", "describe", "0"]);
+        let last = meta(&["rep", "describe", "0", "--trace"]);
+        assert_eq!(first.domain.as_deref(), Some("rep"));
+        assert_eq!(last.domain.as_deref(), Some("rep"));
+        assert_eq!(first.command, last.command);
+        // A bare domain command runs swarm; `bt` runs no registry domain.
+        let bare = meta(&["--metrics", "describe", "0"]);
+        assert_eq!(bare.domain.as_deref(), Some("swarm"));
+        assert_eq!(meta(&["--metrics", "bt", "bittorrent"]).domain, None);
+    }
+
+    #[test]
+    fn pra_counts_a_protocol_listed_twice_once() {
+        dsa_bench::register_domains();
+        let swarm = dsa_core::domain::lookup("swarm").unwrap();
+        let bt = swarm.parse("bittorrent").unwrap();
+        let listed = argv(&["bt", "0", "bittorrent", "0"]);
+        assert_eq!(distinct_protocols(&*swarm, &listed).unwrap(), vec![bt, 0]);
+        for twice in [&["0", "0"][..], &["bt", "bittorrent"]] {
+            let err = cmd_pra(&*swarm, &argv(twice)).unwrap_err();
+            assert!(err.contains("at least two distinct"), "{twice:?}: {err}");
+        }
     }
 
     #[test]
