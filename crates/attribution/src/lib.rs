@@ -20,7 +20,7 @@
 //!    (via [`dsa_stats::ols`]), per-dimension one-way η² and partial η²
 //!    effect sizes with nested-model F-tests, and the pairwise
 //!    interaction scan ranked by incremental R².
-//! 4. [`navigate`] is the dimension-flip navigator: which single
+//! 4. [`navigate`](mod@navigate) is the dimension-flip navigator: which single
 //!    actualization change most improves axis X without degrading axis
 //!    Y — predicted from the fitted model's cached estimates, then
 //!    *verified* against the true sweep values.

@@ -2,7 +2,7 @@
 //!
 //! The paper credits Axelrod's *Evolution of Cooperation* simulations as
 //! the inspiration for Design Space Analysis: "A simulation based approach
-//! has been used by Axelrod [1] to model strategic interactions in repeated
+//! has been used by Axelrod \[1\] to model strategic interactions in repeated
 //! games." This module reproduces that methodology — every strategy plays
 //! every other strategy (and optionally itself), cumulative scores decide
 //! the ranking — and is the conceptual bridge between Section 2's

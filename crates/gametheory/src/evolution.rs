@@ -1,8 +1,8 @@
 //! Evolutionary dynamics over strategy populations.
 //!
 //! The paper's related work leans on evolutionary game theory: Feldman et
-//! al. [7] applied "an evolutionary game-theoretic analysis on a P2P
-//! design space", and Mailath [19] ("Do people play Nash equilibrium?
+//! al. \[7\] applied "an evolutionary game-theoretic analysis on a P2P
+//! design space", and Mailath \[19\] ("Do people play Nash equilibrium?
 //! Lessons from evolutionary game theory") motivates why equilibrium
 //! predictions need dynamic justification. This module provides the two
 //! standard tools:

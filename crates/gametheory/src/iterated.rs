@@ -1,6 +1,6 @@
 //! The iterated-game engine.
 //!
-//! Section 2.1 models BitTorrent as "a number of games [played] with other
+//! Section 2.1 models BitTorrent as "a number of games \[played\] with other
 //! peers in a given time period ... where the 'shadow of the future' is
 //! large". This engine plays two [`Strategy`] implementations against each
 //! other for a fixed horizon with optional discounting (the shadow of the

@@ -3,7 +3,7 @@
 //! BitTorrent's choking algorithm "follows a Tit-for-Tat like strategy"
 //! (§2.1); the design space's candidate lists C1/C2 are TFT and
 //! Tit-for-Two-Tats; Sort Adaptive is inspired by Win-Stay-Lose-Shift
-//! (Posch [25]). This module provides those strategies in their classic
+//! (Posch \[25\]). This module provides those strategies in their classic
 //! iterated-game form, used by the [`crate::axelrod`] tournament and the
 //! Section 2 analysis examples.
 
@@ -60,7 +60,7 @@ impl Strategy for TitForTat {
 }
 
 /// Tit-for-Two-Tats: defects only after two consecutive opponent
-/// defections — the forgiving variant Axelrod [1] discusses, and the
+/// defections — the forgiving variant Axelrod \[1\] discusses, and the
 /// ancestor of the paper's C2 candidate list ("reciprocated in either of
 /// the last two rounds").
 #[derive(Debug, Default, Clone)]
@@ -112,7 +112,7 @@ impl Strategy for AllC {
     fn reset(&mut self) {}
 }
 
-/// Always defect — the strategy Locher et al. [17] showed exploits
+/// Always defect — the strategy Locher et al. \[17\] showed exploits
 /// BitTorrent's TFT ("free riding in BitTorrent is cheap").
 #[derive(Debug, Default, Clone)]
 pub struct AllD;
@@ -166,7 +166,7 @@ impl Strategy for Grim {
 }
 
 /// Win-Stay, Lose-Shift (Pavlov) with an aspiration level: repeat the last
-/// action if it met the aspiration, otherwise switch (Posch [25], the
+/// action if it met the aspiration, otherwise switch (Posch \[25\], the
 /// inspiration for the paper's Sort Adaptive ranking function).
 #[derive(Debug, Clone)]
 pub struct WinStayLoseShift {

@@ -13,7 +13,7 @@
 //!   registry of counters (event counts — never time, so totals are
 //!   bit-identical across thread counts), gauges (last-value readings such
 //!   as rows/s), and log2-bucketed histograms (latency distributions).
-//! - **Spans** ([`span`], [`span_owned`], the [`span!`] macro): RAII
+//! - **Spans** ([`span()`], [`span_owned`], the [`span!`] macro): RAII
 //!   guards that nest, timestamp via [`std::time::Instant`], and
 //!   aggregate *per thread* — `parallel_map_indexed_scratch` workers
 //!   record without contention and merge deterministically when they
@@ -89,7 +89,7 @@ pub fn reset() {
 
 /// Opens a span guard over the enclosing scope.
 ///
-/// `span!("rep.run")` expands to [`span`] with a `&'static str` name;
+/// `span!("rep.run")` expands to [`span()`] with a `&'static str` name;
 /// `span!("profile.{domain}")` (any extra formatting arguments) expands
 /// to [`span_owned`]. Bind the guard (`let _g = span!(...)`) — an unbound
 /// `let _ =` drops it immediately and times nothing.

@@ -110,7 +110,7 @@ impl Histogram {
 }
 
 /// A 2-D histogram: categorical x-axis (e.g. partner count 0..=9) against a
-/// binned continuous y-axis (e.g. performance in [0,1]).
+/// binned continuous y-axis (e.g. performance in \[0,1\]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram2d {
     categories: usize,

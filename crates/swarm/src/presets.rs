@@ -59,7 +59,7 @@ pub fn sort_s() -> SwarmProtocol {
 }
 
 /// The Sort Random client of Figure 10 (ranking I6), which the paper
-/// observes "performs as well as BitTorrent", recalling Leong et al. [15].
+/// observes "performs as well as BitTorrent", recalling Leong et al. \[15\].
 #[must_use]
 pub fn random_rank() -> SwarmProtocol {
     SwarmProtocol {
