@@ -126,7 +126,7 @@ impl Domain for SwarmDomain {
     fn sim(&self, effort: Effort, churn: f64) -> SwarmSim {
         // The one place an effort level's swarm simulator is decided:
         // the sweep, its cache key and every swarm figure build theirs
-        // here. Only the rounds vary; paper effort is §4.3.1 as is.
+        // here. The effort sets only the rounds (paper: §4.3.1's 500).
         let rounds = match effort {
             Effort::Smoke => 60,
             Effort::Lab => 120,
