@@ -4,9 +4,17 @@
 //! on however many cores the machine has. The one invariant that must
 //! survive parallelization is *bit-identical results regardless of thread
 //! count*: every task derives its own seed from its index (not from any
-//! scheduling order), and results are written into a pre-sized output
-//! vector at the task's index. Guide-recommended practice for CPU-bound
-//! work: plain scoped threads, no async runtime.
+//! scheduling order), and whatever a task produces is either placed at
+//! its index or combined in an order-independent way. Guide-recommended
+//! practice for CPU-bound work: plain scoped threads, no async runtime.
+//!
+//! There is one worker loop, [`parallel_fold`]: workers take indices from
+//! an atomic counter and fold each task into their own accumulator, and
+//! the caller merges the accumulators. [`parallel_map_indexed_scratch`]
+//! is the fold into per-worker `(index, value)` lists, scattered into an
+//! index-ordered vector; a tournament folds its wins into per-worker
+//! ledgers and merges them by integer addition, so it holds no
+//! pairing-sized buffer.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -42,14 +50,9 @@ where
 /// order, so anything accumulated in the scratch would break the
 /// bit-identical-across-thread-counts invariant.
 ///
-/// When metrics are enabled ([`dsa_obs::enable_metrics`]), each fork-join
-/// region reports: `parallel.jobs` and `parallel.tasks` counters (event
-/// counts, thread-count-invariant), a `parallel.worker_busy_ns` histogram
-/// with one observation per worker (its count is the number of workers,
-/// so it — alone among the stack's metrics — varies with the thread
-/// count), and `parallel.busy_max_ns` / `parallel.busy_mean_ns` /
-/// `parallel.imbalance` gauges for the most recent job (imbalance =
-/// max/mean worker busy time; 1.0 is a perfectly balanced pool).
+/// Each worker folds its tasks into its own `(index, value)` list
+/// ([`parallel_fold`]); the lists are then scattered into the output, so
+/// the metrics are [`parallel_fold`]'s.
 pub fn parallel_map_indexed_scratch<T, S, C, F>(
     n: usize,
     threads: usize,
@@ -58,75 +61,93 @@ pub fn parallel_map_indexed_scratch<T, S, C, F>(
 ) -> Vec<T>
 where
     T: Send + Default + Clone,
+    S: Send,
     C: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    let threads = effective_threads(threads, n);
-    if n == 0 {
-        return Vec::new();
-    }
-    let record = dsa_obs::metrics_enabled();
-    if threads <= 1 {
-        let start = record.then(Instant::now);
-        let mut s = scratch();
-        let out: Vec<T> = (0..n).map(|i| f(&mut s, i)).collect();
-        if let Some(start) = start {
-            let busy = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            record_job(n, &[busy]);
-        }
-        return out;
-    }
-
+    let parts = parallel_fold(
+        n,
+        threads,
+        || (scratch(), Vec::new()),
+        |(s, local), i| local.push((i, f(s, i))),
+    );
     let mut out = vec![T::default(); n];
-    let counter = AtomicUsize::new(0);
-    // Hand out disjoint &mut slots to workers via raw chunks: simplest is
-    // to collect per-worker (index, value) pairs and merge afterwards —
-    // avoids unsafe and keeps the code obviously correct.
-    let mut partials: Vec<Vec<(usize, T)>> = Vec::new();
-    let mut busy_ns: Vec<u64> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let counter = &counter;
-            let f = &f;
-            let scratch = &scratch;
-            handles.push(scope.spawn(move || {
-                let mut s = scratch();
-                let mut local = Vec::new();
-                let mut busy = 0u64;
-                loop {
-                    let i = counter.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if record {
-                        let t0 = Instant::now();
-                        local.push((i, f(&mut s, i)));
-                        busy += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    } else {
-                        local.push((i, f(&mut s, i)));
-                    }
-                }
-                (local, busy)
-            }));
-        }
-        for h in handles {
-            let (local, busy) = h.join().expect("worker thread panicked");
-            partials.push(local);
-            busy_ns.push(busy);
-        }
-    });
-    for (i, v) in partials.into_iter().flatten() {
+    for (i, v) in parts.into_iter().flat_map(|(_, local)| local) {
         out[i] = v;
-    }
-    if record {
-        record_job(n, &busy_ns);
     }
     out
 }
 
-/// Reports one fork-join region's load metrics; see
-/// [`parallel_map_indexed_scratch`] for the metric names.
+/// Folds the tasks `0..n` in parallel: each worker starts from `init()`
+/// and applies `fold(&mut acc, i)` to every index it takes; returns the
+/// workers' accumulators (at least one, even when `n = 0`).
+///
+/// Which worker takes which index depends on scheduling, so a caller
+/// must combine the accumulators in a way that does not depend on the
+/// split — results placed by index, or integer sums — to keep its output
+/// bit-identical across thread counts. `threads` is resolved by
+/// [`effective_threads`]; a resolved count of 1 folds every index, in
+/// order, on the calling thread.
+///
+/// When metrics are enabled ([`dsa_obs::enable_metrics`]), each fork-join
+/// region with at least one task reports: `parallel.jobs` and
+/// `parallel.tasks` counters (event counts, thread-count-invariant), a
+/// `parallel.worker_busy_ns` histogram with one observation per worker
+/// (its count is the number of workers, so it — alone among the stack's
+/// metrics — varies with the thread count), and `parallel.busy_max_ns` /
+/// `parallel.busy_mean_ns` / `parallel.imbalance` gauges for the most
+/// recent job (imbalance = max/mean worker busy time; 1.0 is a perfectly
+/// balanced pool).
+pub fn parallel_fold<A, I, F>(n: usize, threads: usize, init: I, fold: F) -> Vec<A>
+where
+    A: Send,
+    I: Fn() -> A + Sync,
+    F: Fn(&mut A, usize) + Sync,
+{
+    if n == 0 {
+        return vec![init()];
+    }
+    let threads = effective_threads(threads, n);
+    let record = dsa_obs::metrics_enabled();
+    let counter = AtomicUsize::new(0);
+    let work = || {
+        let mut acc = init();
+        let mut busy = 0u64;
+        loop {
+            let i = counter.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            if record {
+                let t0 = Instant::now();
+                fold(&mut acc, i);
+                busy += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            } else {
+                fold(&mut acc, i);
+            }
+        }
+        (acc, busy)
+    };
+    let done: Vec<(A, u64)> = if threads <= 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread panicked"))
+                .collect()
+        })
+    };
+    if record {
+        let busy_ns: Vec<u64> = done.iter().map(|&(_, busy)| busy).collect();
+        record_job(n, &busy_ns);
+    }
+    done.into_iter().map(|(acc, _)| acc).collect()
+}
+
+/// Reports one fork-join region's load metrics; see [`parallel_fold`]
+/// for the metric names.
 fn record_job(tasks: usize, busy_ns: &[u64]) {
     dsa_obs::incr("parallel.jobs");
     dsa_obs::add("parallel.tasks", tasks as u64);

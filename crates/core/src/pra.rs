@@ -15,11 +15,15 @@
 //! invading protocol can have"; [`tournament_rates`] is exposed separately
 //! so the §4.3.2 validation (90/10 split, Pearson ≈ 0.97 against 50/50)
 //! can be reproduced.
+//!
+//! A tournament holds O(threads × protocols) memory whatever its pairing
+//! count: pairings are read from the [`Schedule`] by index, and each
+//! worker folds its pairings' wins into its own [`WinLedger`].
 
-use crate::parallel::parallel_map_indexed;
+use crate::parallel::{parallel_fold, parallel_map_indexed};
 use crate::results::PraResults;
 use crate::sim::EncounterSim;
-use crate::tournament::{schedule, OpponentSampling, WinLedger};
+use crate::tournament::{OpponentSampling, Schedule, WinLedger};
 use dsa_workloads::seeds::SeedSeq;
 
 /// Configuration of a PRA sweep.
@@ -129,11 +133,14 @@ pub fn performance_phase<S: EncounterSim>(
 }
 
 /// Runs one tournament at the given protagonist share and returns each
-/// protocol's win rate.
+/// protocol's win rate (NaN for a protocol with no games).
 ///
 /// `phase_tag` separates the seed streams of different tournaments run
 /// under the same master seed (robustness vs aggressiveness vs the 90/10
-/// validation).
+/// validation). Pairing `p` runs its encounters at the seeds
+/// `root.child(p).child(r)`, whichever worker takes it; the workers'
+/// ledgers merge by integer addition, so the rates are bit-identical at
+/// every thread count.
 pub fn tournament_rates<S: EncounterSim>(
     sim: &S,
     protocols: &[S::Protocol],
@@ -146,7 +153,7 @@ pub fn tournament_rates<S: EncounterSim>(
         "protagonist share must be in (0,1), got {protagonist_share}"
     );
     let n = protocols.len();
-    let pairings = schedule(
+    let schedule = Schedule::new(
         n,
         config.sampling,
         SeedSeq::new(config.seed).child(99).seed(),
@@ -154,10 +161,14 @@ pub fn tournament_rates<S: EncounterSim>(
     let root = SeedSeq::new(config.seed).child(phase_tag);
     let runs = config.encounter_runs.max(1);
 
-    // Each task resolves one pairing (all its runs) to (protagonist, wins).
-    let outcomes: Vec<(usize, u64, u64)> =
-        parallel_map_indexed(pairings.len(), config.threads, |p| {
-            let pairing = pairings[p];
+    // Each task resolves one pairing (all its runs) into its worker's
+    // ledger.
+    let ledgers = parallel_fold(
+        schedule.len(),
+        config.threads,
+        || WinLedger::new(n),
+        |ledger, p| {
+            let pairing = schedule.pairing(p);
             let node = root.child(p as u64);
             let mut wins = 0u64;
             for r in 0..runs {
@@ -172,14 +183,15 @@ pub fn tournament_rates<S: EncounterSim>(
                     wins += 1;
                 }
             }
-            (pairing.protagonist, wins, runs as u64)
-        });
-
-    let mut ledger = WinLedger::new(n);
-    for (prot, wins, games) in outcomes {
-        ledger.record_batch(prot, wins, games);
+            ledger.record_batch(pairing.protagonist, wins, runs as u64);
+        },
+    );
+    let mut ledgers = ledgers.into_iter();
+    let mut total = ledgers.next().expect("a fold yields an accumulator");
+    for ledger in ledgers {
+        total.merge(&ledger);
     }
-    ledger.rates()
+    total.rates()
 }
 
 #[cfg(test)]
@@ -270,6 +282,20 @@ mod tests {
         let r90 = tournament_rates(&FreeriderToy, &p, 0.9, &c, 3);
         let rho = dsa_stats::correlation::pearson(&r50, &r90);
         assert!(rho > 0.95, "rho={rho}");
+    }
+
+    #[test]
+    fn tournament_without_pairings_scores_nan() {
+        // Fewer than two protocols, or no sampled opponents: no games.
+        let mut c = config();
+        assert!(tournament_rates(&FreeriderToy, &[], 0.5, &c, 1).is_empty());
+        let lone = tournament_rates(&FreeriderToy, &[0.5], 0.5, &c, 1);
+        assert_eq!(lone.len(), 1);
+        assert!(lone[0].is_nan());
+        c.sampling = OpponentSampling::Sampled(0);
+        assert!(tournament_rates(&FreeriderToy, &protocols(), 0.5, &c, 1)
+            .iter()
+            .all(|r| r.is_nan()));
     }
 
     #[test]

@@ -1,11 +1,18 @@
 //! The allocating CSV splitter, the sorting rank and the
 //! measure-per-comparison ranking that [`crate::results::split_csv`],
-//! [`PraResults::rank_of`] and [`PraResults::ranked_by`] replaced, kept as
-//! test references: the production code must return exactly what they
-//! return.
+//! [`PraResults::rank_of`] and [`PraResults::ranked_by`] replaced, and the
+//! tournament that materialized its whole schedule and one outcome per
+//! pairing, which [`crate::pra::tournament_rates`] replaced, kept as test
+//! references: the production code must return exactly what they return.
 
-use crate::pra::PraPoint;
+use crate::parallel::parallel_map_indexed;
+use crate::pra::{PraConfig, PraPoint};
 use crate::results::PraResults;
+use crate::sim::EncounterSim;
+use crate::tournament::{OpponentSampling, Pairing, WinLedger};
+use dsa_workloads::rng::Xoshiro256pp;
+use dsa_workloads::sampling::sample_indices;
+use dsa_workloads::seeds::SeedSeq;
 
 /// Splits one CSV line honoring double-quoted fields, one `String` per
 /// field.
@@ -53,8 +60,94 @@ fn rank_of(results: &PraResults, i: usize, measure: impl Fn(&PraPoint) -> f64) -
         .map_or(0, |p| p + 1)
 }
 
+/// The tournament schedule as a vector: every ordered pair protagonist-
+/// major when exhaustive, each protagonist's drawn opponents when
+/// sampled.
+fn schedule(n: usize, sampling: OpponentSampling, seed: u64) -> Vec<Pairing> {
+    let mut out = Vec::new();
+    match sampling {
+        OpponentSampling::Exhaustive => {
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j {
+                        out.push(Pairing {
+                            protagonist: i,
+                            opponent: j,
+                        });
+                    }
+                }
+            }
+        }
+        OpponentSampling::Sampled(k) => {
+            let k = k.min(n.saturating_sub(1));
+            let root = SeedSeq::new(seed);
+            for i in 0..n {
+                let mut rng: Xoshiro256pp = root.child(i as u64).rng();
+                // Sample from n−1 "others" and skip over self.
+                let mut opponents = sample_indices(n - 1, k, &mut rng);
+                for o in &mut opponents {
+                    if *o >= i {
+                        *o += 1;
+                    }
+                }
+                for j in opponents {
+                    out.push(Pairing {
+                        protagonist: i,
+                        opponent: j,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// One tournament's win rates: the whole schedule, one
+/// `(protagonist, wins, games)` outcome per pairing, then one ledger.
+fn tournament_rates<S: EncounterSim>(
+    sim: &S,
+    protocols: &[S::Protocol],
+    protagonist_share: f64,
+    config: &PraConfig,
+    phase_tag: u64,
+) -> Vec<f64> {
+    let n = protocols.len();
+    let pairings = schedule(
+        n,
+        config.sampling,
+        SeedSeq::new(config.seed).child(99).seed(),
+    );
+    let root = SeedSeq::new(config.seed).child(phase_tag);
+    let runs = config.encounter_runs.max(1);
+    let outcomes: Vec<(usize, u64, u64)> =
+        parallel_map_indexed(pairings.len(), config.threads, |p| {
+            let pairing = pairings[p];
+            let node = root.child(p as u64);
+            let mut wins = 0u64;
+            for r in 0..runs {
+                let seed = node.child(r as u64).seed();
+                let (own, other) = sim.run_encounter(
+                    &protocols[pairing.protagonist],
+                    &protocols[pairing.opponent],
+                    protagonist_share,
+                    seed,
+                );
+                if own > other {
+                    wins += 1;
+                }
+            }
+            (pairing.protagonist, wins, runs as u64)
+        });
+    let mut ledger = WinLedger::new(n);
+    for (prot, wins, games) in outcomes {
+        ledger.record_batch(prot, wins, games);
+    }
+    ledger.rates()
+}
+
 mod tests {
     use super::*;
+    use crate::tournament::Schedule;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -168,6 +261,77 @@ mod tests {
                     r.rank_of(i, |p| p.performance),
                     rank_of(&r, i, |p| p.performance),
                     "i = {}, values = {:?}", i, values
+                );
+            }
+        }
+    }
+
+    /// An encounter whose outcome hangs on the seed, both protocols and
+    /// the share, with frequent ties: running a pairing at another
+    /// pairing's seed, or against another opponent, changes some wins.
+    struct SeededToy;
+
+    impl EncounterSim for SeededToy {
+        type Protocol = u64;
+
+        fn run_homogeneous(&self, protocol: &u64, seed: u64) -> f64 {
+            (SeedSeq::new(seed ^ protocol).seed() % 4) as f64
+        }
+
+        fn run_encounter(&self, a: &u64, b: &u64, fraction_a: f64, seed: u64) -> (f64, f64) {
+            let mix = seed ^ a.rotate_left(17) ^ b.rotate_left(41) ^ fraction_a.to_bits();
+            let x = SeedSeq::new(mix).seed();
+            ((x % 4) as f64, ((x >> 2) % 4) as f64)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The index-addressed schedule lists the materialized one, and
+        /// both shares' win rates are the materializing tournament's, bit
+        /// for bit, at any thread count.
+        #[test]
+        fn tournament_matches_reference(
+            n in 2usize..41,
+            sampled in any::<bool>(),
+            k in 0usize..12,
+            runs in 1usize..4,
+            threads in 1usize..9,
+            phase_tag in 0u64..8,
+            seed in any::<u64>(),
+        ) {
+            let sampling = if sampled {
+                OpponentSampling::Sampled(k)
+            } else {
+                OpponentSampling::Exhaustive
+            };
+            let schedule_seed = SeedSeq::new(seed).child(99).seed();
+            let want = schedule(n, sampling, schedule_seed);
+            let by_index = Schedule::new(n, sampling, schedule_seed);
+            let collected: Vec<Pairing> =
+                (0..by_index.len()).map(|p| by_index.pairing(p)).collect();
+            prop_assert_eq!(&collected, &want);
+            prop_assert_eq!(&crate::tournament::schedule(n, sampling, schedule_seed), &want);
+
+            let protocols: Vec<u64> = (0..n as u64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect();
+            let config = PraConfig {
+                encounter_runs: runs,
+                sampling,
+                threads,
+                seed,
+                ..PraConfig::default()
+            };
+            for share in [config.robustness_share, config.aggressiveness_share] {
+                let got = crate::pra::tournament_rates(&SeededToy, &protocols, share, &config, phase_tag);
+                let want = tournament_rates(&SeededToy, &protocols, share, &config, phase_tag);
+                prop_assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "n = {}, sampling = {:?}, runs = {}, threads = {}, share = {}, tag = {}",
+                    n, sampling, runs, threads, share, phase_tag
                 );
             }
         }

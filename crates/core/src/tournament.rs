@@ -7,6 +7,12 @@
 //! infeasible (the authors used a cluster for ~25 hours), so the schedule
 //! also supports *sampled* tournaments: every protocol meets the same
 //! number of uniformly drawn opponents, preserving the win-rate estimator.
+//!
+//! A [`Schedule`] addresses its pairings by index. The exhaustive one is a
+//! closed form of the index and holds nothing, so a paper-scale phase
+//! (3270 × 3269 pairings) costs no pairing-sized buffer; a sampled one
+//! holds its n·k drawn pairings. [`schedule`] lists either in the same
+//! order.
 
 use dsa_workloads::rng::Xoshiro256pp;
 use dsa_workloads::sampling::sample_indices;
@@ -32,50 +38,96 @@ pub struct Pairing {
     pub opponent: usize,
 }
 
-/// Builds the tournament schedule for `n` protocols.
+/// A tournament's pairings in schedule order, addressable by index.
 ///
 /// Every protocol receives the same number of pairings (`n − 1` when
 /// exhaustive, `min(k, n − 1)` when sampled), which keeps win rates
 /// comparable across protocols — the paper's "total number of games ...
-/// is constant for all protocols".
-#[must_use]
-pub fn schedule(n: usize, sampling: OpponentSampling, seed: u64) -> Vec<Pairing> {
-    let mut out = Vec::new();
-    match sampling {
-        OpponentSampling::Exhaustive => {
-            for i in 0..n {
-                for j in 0..n {
-                    if i != j {
+/// is constant for all protocols". Pairings are protagonist-major.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Schedule {
+    /// Every ordered pair of distinct protocols among `n`, opponents
+    /// ascending: pairing `p` is a closed form of `p`.
+    Exhaustive(usize),
+    /// Each protagonist's drawn opponents, in draw order.
+    Sampled(Vec<Pairing>),
+}
+
+impl Schedule {
+    /// The schedule for `n` protocols; `seed` draws a sampled schedule's
+    /// opponents (one child stream per protagonist).
+    #[must_use]
+    pub fn new(n: usize, sampling: OpponentSampling, seed: u64) -> Self {
+        match sampling {
+            OpponentSampling::Exhaustive => Self::Exhaustive(n),
+            OpponentSampling::Sampled(k) => {
+                let k = k.min(n.saturating_sub(1));
+                let root = SeedSeq::new(seed);
+                let mut out = Vec::with_capacity(n * k);
+                for i in 0..n {
+                    let mut rng: Xoshiro256pp = root.child(i as u64).rng();
+                    // Sample from n−1 "others" and skip over self.
+                    for o in sample_indices(n - 1, k, &mut rng) {
                         out.push(Pairing {
                             protagonist: i,
-                            opponent: j,
+                            opponent: o + usize::from(o >= i),
                         });
                     }
                 }
-            }
-        }
-        OpponentSampling::Sampled(k) => {
-            let k = k.min(n.saturating_sub(1));
-            let root = SeedSeq::new(seed);
-            for i in 0..n {
-                let mut rng: Xoshiro256pp = root.child(i as u64).rng();
-                // Sample from n−1 "others" and skip over self.
-                let mut opponents = sample_indices(n - 1, k, &mut rng);
-                for o in &mut opponents {
-                    if *o >= i {
-                        *o += 1;
-                    }
-                }
-                for j in opponents {
-                    out.push(Pairing {
-                        protagonist: i,
-                        opponent: j,
-                    });
-                }
+                Self::Sampled(out)
             }
         }
     }
-    out
+
+    /// Number of pairings; an exhaustive schedule over fewer than two
+    /// protocols has none.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self {
+            Self::Exhaustive(n) if *n < 2 => 0,
+            Self::Exhaustive(n) => n * (n - 1),
+            Self::Sampled(pairings) => pairings.len(),
+        }
+    }
+
+    /// Whether the schedule has no pairings.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Pairing `p`. Exhaustively, with `j = p mod (n − 1)`, the
+    /// protagonist is `p / (n − 1)` and the opponent is `j`, or `j + 1`
+    /// from the protagonist on (self is skipped).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not below [`Self::len`].
+    #[must_use]
+    pub fn pairing(&self, p: usize) -> Pairing {
+        match self {
+            Self::Exhaustive(n) => {
+                assert!(p < self.len(), "pairing {p} of {} scheduled", self.len());
+                let others = n - 1;
+                let (i, j) = (p / others, p % others);
+                Pairing {
+                    protagonist: i,
+                    opponent: j + usize::from(j >= i),
+                }
+            }
+            Self::Sampled(pairings) => pairings[p],
+        }
+    }
+}
+
+/// Lists the tournament schedule for `n` protocols: [`Schedule::new`]'s
+/// pairings, in order.
+#[must_use]
+pub fn schedule(n: usize, sampling: OpponentSampling, seed: u64) -> Vec<Pairing> {
+    match Schedule::new(n, sampling, seed) {
+        Schedule::Sampled(pairings) => pairings,
+        s => (0..s.len()).map(|p| s.pairing(p)).collect(),
+    }
 }
 
 /// Accumulates win/loss records into per-protocol scores.
@@ -122,6 +174,27 @@ impl WinLedger {
         self.wins[protagonist] += wins;
     }
 
+    /// Adds `other`'s records to this ledger. Integer sums do not depend
+    /// on order, so ledgers filled by workers from any split of the
+    /// games merge to the same counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ledgers cover different protocol counts.
+    pub fn merge(&mut self, other: &WinLedger) {
+        assert_eq!(
+            self.wins.len(),
+            other.wins.len(),
+            "ledgers cover different protocol counts"
+        );
+        for (w, o) in self.wins.iter_mut().zip(&other.wins) {
+            *w += o;
+        }
+        for (g, o) in self.games.iter_mut().zip(&other.games) {
+            *g += o;
+        }
+    }
+
     /// Win rates in `[0, 1]`; protocols with no games score NaN.
     #[must_use]
     pub fn rates(&self) -> Vec<f64> {
@@ -157,6 +230,22 @@ mod tests {
         let set: HashSet<(usize, usize)> = s.iter().map(|p| (p.protagonist, p.opponent)).collect();
         assert_eq!(set.len(), 20);
         assert!(s.iter().all(|p| p.protagonist != p.opponent));
+    }
+
+    #[test]
+    fn fewer_than_two_protocols_have_no_pairings() {
+        for n in [0, 1] {
+            for sampling in [OpponentSampling::Exhaustive, OpponentSampling::Sampled(3)] {
+                assert!(Schedule::new(n, sampling, 5).is_empty(), "n={n}");
+                assert!(schedule(n, sampling, 5).is_empty(), "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pairing 0 of 0 scheduled")]
+    fn exhaustive_pairing_of_one_protocol_panics() {
+        let _ = Schedule::new(1, OpponentSampling::Exhaustive, 0).pairing(0);
     }
 
     #[test]
@@ -232,6 +321,36 @@ mod tests {
         }
         assert_eq!(looped.rates(), batched.rates());
         assert_eq!(looped.games(), batched.games());
+    }
+
+    #[test]
+    fn merged_ledgers_count_every_game_once() {
+        let records = [
+            (0usize, 3u64, 5u64),
+            (1, 0, 4),
+            (2, 7, 7),
+            (0, 1, 1),
+            (2, 0, 2),
+        ];
+        let mut whole = WinLedger::new(3);
+        for &(prot, wins, games) in &records {
+            whole.record_batch(prot, wins, games);
+        }
+        // Any split of the records into parts merges to the same ledger.
+        let mut parts = [WinLedger::new(3), WinLedger::new(3)];
+        for (k, &(prot, wins, games)) in records.iter().enumerate() {
+            parts[k % 2].record_batch(prot, wins, games);
+        }
+        let [mut merged, second] = parts;
+        merged.merge(&second);
+        assert_eq!(merged.games(), whole.games());
+        assert_eq!(merged.wins, whole.wins);
+    }
+
+    #[test]
+    #[should_panic(expected = "different protocol counts")]
+    fn merge_rejects_mismatched_ledgers() {
+        WinLedger::new(2).merge(&WinLedger::new(3));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   as rows/s), and log2-bucketed histograms (latency distributions).
 //! - **Spans** ([`span()`], [`span_owned`], the [`span!`] macro): RAII
 //!   guards that nest, timestamp via [`std::time::Instant`], and
-//!   aggregate *per thread* — `parallel_map_indexed_scratch` workers
+//!   aggregate *per thread* — `dsa_core::parallel` workers
 //!   record without contention and merge deterministically when they
 //!   exit. Span **counts** are bit-identical across 1 vs 8 threads;
 //!   durations are reported as distributions (total/self/min/max plus a
