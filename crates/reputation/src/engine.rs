@@ -437,7 +437,14 @@ pub fn run_with_scratch(
         received,
     } = scratch;
     let mut picks = [0; SMALL_K];
-    for round in 0..config.rounds {
+    // A population that can never grant keeps its zeroed utilities: the
+    // rounds would only draw and score.
+    let rounds = if never_grants(protocols, assignment) {
+        0
+    } else {
+        config.rounds
+    };
+    for round in 0..rounds {
         // 1. Every peer issues its requests to distinct random targets.
         // Request lists are rebuilt each round: `req_data` row `s` holds
         // the peers that asked `s` for service, in deterministic order.
@@ -559,6 +566,23 @@ pub fn run_with_scratch(
         }
     }
     out
+}
+
+/// Whether no peer of the population can ever grant: every assigned
+/// protocol denies strangers or free-rides.
+///
+/// A Freeride server never decides. A Deny server gives an unheard
+/// requester weight 0 (threshold and proportional responses), and
+/// RankBased leaves it out of the ranked set. Being heard, by the server
+/// or by a witness, needs a `seen` record, and only a grant creates one,
+/// so no grant is ever made and every utility stays +0.0. Whitewashing
+/// and churn only erase records, and churn's new capacities are not an
+/// output.
+fn never_grants(protocols: &[RepProtocol], assignment: &[usize]) -> bool {
+    assignment.iter().all(|&a| {
+        let p = &protocols[a];
+        p.stranger == Stranger::Deny || p.response == Response::Freeride
+    })
 }
 
 /// The start-of-round ledgers every decision of a round reads.

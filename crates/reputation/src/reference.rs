@@ -468,4 +468,45 @@ mod tests {
             );
         }
     }
+
+    /// Every population that can never grant — each assigned protocol
+    /// denies strangers or free-rides, 144 of the 288 — gives what the
+    /// full round loop gives, bit for bit, and that is all zeros: run
+    /// homogeneously (plain, and with churn and frequent whitewashing) and
+    /// as 50/50 pairs over a stride sample of the dead protocols.
+    #[test]
+    fn dead_populations_match_reference() {
+        use crate::protocol::{Response, Stranger};
+        let dead: Vec<RepProtocol> = RepProtocol::all()
+            .filter(|p| p.stranger == Stranger::Deny || p.response == Response::Freeride)
+            .collect();
+        assert_eq!(dead.len(), 144);
+        let churned = RepConfig {
+            churn: ChurnModel::PerRound { rate: 0.05 },
+            whitewash_period: 3,
+            ..RepConfig::fast()
+        };
+        let mut scratch = RepScratch::default();
+        let mut check = |protocols: &[RepProtocol], assignment: &[usize], config: &RepConfig| {
+            let seed = 0x5eed ^ (protocols[0].index() * 997 + protocols.len()) as u64;
+            let want = reference_run(protocols, assignment, config, seed);
+            let got = run_with_scratch(protocols, assignment, config, seed, &mut scratch);
+            assert_eq!(bits(&got), bits(&want), "{protocols:?} under {config:?}");
+            assert!(got.iter().all(|u| u.to_bits() == 0), "{protocols:?}");
+        };
+        for config in [RepConfig::default(), churned] {
+            for p in &dead {
+                check(&[*p], &vec![0; config.peers], &config);
+            }
+        }
+        let config = RepConfig::default();
+        let half: Vec<usize> = (0..config.peers)
+            .map(|i| usize::from(2 * i >= config.peers))
+            .collect();
+        for (i, a) in dead.iter().enumerate() {
+            for b in dead[i + 1..].iter().step_by(5) {
+                check(&[*a, *b], &half, &config);
+            }
+        }
+    }
 }

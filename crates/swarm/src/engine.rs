@@ -305,6 +305,10 @@ pub fn run(
 /// [`run`] against a caller-owned [`SwarmScratch`]. Output is bit-identical
 /// to [`run`] regardless of the scratch's prior contents.
 ///
+/// Without churn, a population in which nobody ever gives a positive
+/// amount skips its round loop: every utility stays +0.0 and the
+/// capacities are the ones drawn at setup.
+///
 /// # Panics
 ///
 /// Panics on an empty/too-small population, inconsistent assignment, or
@@ -315,6 +319,40 @@ pub fn run_with_scratch(
     config: &SimConfig,
     seed: u64,
     scratch: &mut SwarmScratch,
+) -> RunOutcome {
+    simulate(protocols, assignment, config, seed, scratch, true)
+}
+
+/// Whether a peer never gives a positive amount first: it contacts no
+/// stranger or defects on them (h = 0 or B3), and gives partners nothing
+/// or only in proportion to what they gave it (k = 0, R2 or R3).
+fn never_initiates(p: &SwarmProtocol) -> bool {
+    (p.stranger_slots == 0 || p.stranger_policy == StrangerPolicy::Defect)
+        && (p.partner_slots == 0 || p.allocation != Allocation::EqualSplit)
+}
+
+/// Whether no peer of the population ever receives a positive amount.
+///
+/// With every h = 0 nobody makes first contact, so no peer ever has a
+/// candidate. Otherwise, if every peer is a never-initiator, positive
+/// amounts could only come from R2, which gives `budget · v / total`
+/// only after receiving something — by induction, never. Either way
+/// every `download` adds +0.0 at most.
+fn silent(protocols: &[SwarmProtocol], assignment: &[usize]) -> bool {
+    let assigned = || assignment.iter().map(|&a| &protocols[a]);
+    assigned().all(|p| p.stranger_slots == 0) || assigned().all(never_initiates)
+}
+
+/// [`run_with_scratch`], which passes `exit_silent`; with it false a
+/// silent population runs its round loop too, which is how the tests
+/// check the exit.
+fn simulate(
+    protocols: &[SwarmProtocol],
+    assignment: &[usize],
+    config: &SimConfig,
+    seed: u64,
+    scratch: &mut SwarmScratch,
+    exit_silent: bool,
 ) -> RunOutcome {
     let n = config.peers;
     assert!(n >= 2, "need at least two peers");
@@ -395,7 +433,14 @@ pub fn run_with_scratch(
     // by design and stay outside the window.
     let loop_allocs = dsa_obs::alloc::thread_count();
     let rounds_span = dsa_obs::span("swarm.rounds");
-    for _round in 0..config.rounds {
+    // Churn redraws capacities, an output, so a churned run keeps its
+    // loop.
+    let rounds = if exit_silent && config.churn.is_none() && silent(protocols, assignment) {
+        0
+    } else {
+        config.rounds
+    };
+    for _round in 0..rounds {
         next.clear();
 
         for i in 0..n {
@@ -719,6 +764,103 @@ mod tests {
         p.stranger_slots = 0;
         let out = homogeneous(p, &small(), 3);
         assert_eq!(out.throughput, 0.0);
+    }
+
+    fn outcome_bits(o: &RunOutcome) -> Vec<u64> {
+        let floats = [&o.utilities, &o.capacities, &o.group_means];
+        let mut bits: Vec<u64> = floats
+            .iter()
+            .flat_map(|v| v.iter().map(|x| x.to_bits()))
+            .collect();
+        bits.push(o.throughput.to_bits());
+        bits.extend(o.assignment.iter().map(|&a| a as u64));
+        bits
+    }
+
+    /// The silent-population exit gives what the round loop gives, and
+    /// every utility is +0.0: every never-initiator's homogeneous
+    /// population, and 50/50 and 10/90 pairs of never-initiators and of
+    /// h = 0 protocols (which may allocate R1 to partners they never get).
+    #[test]
+    fn silent_populations_skip_the_loop_bit_for_bit() {
+        let config = SimConfig {
+            peers: 20,
+            rounds: 60,
+            ..SimConfig::default()
+        };
+        let quiet: Vec<SwarmProtocol> = SwarmProtocol::all().filter(never_initiates).collect();
+        assert_eq!(quiet.len(), 876);
+        let no_strangers: Vec<SwarmProtocol> = SwarmProtocol::all()
+            .filter(|p| p.stranger_slots == 0)
+            .collect();
+        let mut scratch = SwarmScratch::new();
+        let mut check = |protocols: &[SwarmProtocol], assignment: &[usize], seed: u64| {
+            assert!(silent(protocols, assignment), "{protocols:?}");
+            let looped = simulate(protocols, assignment, &config, seed, &mut scratch, false);
+            assert!(
+                looped.utilities.iter().all(|u| u.to_bits() == 0),
+                "{protocols:?}: {looped:?}"
+            );
+            let exited = simulate(protocols, assignment, &config, seed, &mut scratch, true);
+            assert_eq!(
+                outcome_bits(&exited),
+                outcome_bits(&looped),
+                "{protocols:?}"
+            );
+        };
+        for (i, p) in quiet.iter().enumerate() {
+            check(&[*p], &vec![0; config.peers], i as u64);
+        }
+        for pool in [&quiet, &no_strangers] {
+            for share in [10, 2] {
+                let assignment: Vec<usize> =
+                    (0..config.peers).map(|i| usize::from(i >= share)).collect();
+                for i in (0..pool.len()).step_by(5) {
+                    let j = (i * 31 + 17) % pool.len();
+                    check(&[pool[i], pool[j]], &assignment, (i * 1000 + j) as u64);
+                }
+            }
+        }
+        // Churn redraws capacities, an output: a churned silent
+        // population keeps its loop.
+        let churned = SimConfig {
+            churn: ChurnModel::PerRound { rate: 0.1 },
+            ..config
+        };
+        for (i, p) in quiet.iter().enumerate().step_by(25) {
+            let assignment = vec![0; churned.peers];
+            let looped = simulate(&[*p], &assignment, &churned, i as u64, &mut scratch, false);
+            let public = run_with_scratch(&[*p], &assignment, &churned, i as u64, &mut scratch);
+            assert_eq!(outcome_bits(&public), outcome_bits(&looped), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn populations_that_start_a_flow_are_not_silent() {
+        // One initiator among never-initiators, or one peer with h > 0
+        // among h = 0 peers, is enough to start a flow.
+        let quiet = SwarmProtocol {
+            stranger_policy: StrangerPolicy::Defect,
+            stranger_slots: 2,
+            allocation: Allocation::EqualSplit,
+            ..presets::bittorrent()
+        };
+        let config = small();
+        let half: Vec<usize> = (0..config.peers).map(|i| usize::from(i >= 10)).collect();
+        for protocols in [
+            [presets::bittorrent(), presets::freerider()],
+            [
+                quiet,
+                SwarmProtocol {
+                    stranger_slots: 0,
+                    ..presets::bittorrent()
+                },
+            ],
+        ] {
+            assert!(!silent(&protocols, &half), "{protocols:?}");
+            let out = run(&protocols, &half, &config, 4);
+            assert!(out.throughput > 0.0, "{protocols:?}: {out:?}");
+        }
     }
 
     #[test]
