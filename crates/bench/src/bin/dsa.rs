@@ -31,10 +31,6 @@
 //! dsa obs diff <run-a> <run-b> [--out DIR] [--threshold PCT]
 //!                                        per-span/per-metric deltas between two journal
 //!                                        records (run ids, or -1/-2/... from the end)
-//! dsa obs regress [--out DIR] [--journal FILE] [--threshold PCT] [--window N]
-//!                 [--floor NS] [--baselines FILE]
-//!                                        perf gate: latest journal entry vs its rolling
-//!                                        window + bench ceilings; exits non-zero on fail
 //! dsa obs gc [--out DIR] [--keep N] [--dry-run]
 //!                                        compact the journal to its newest N records
 //!                                        (atomic rewrite; refuses on parse errors;
@@ -54,9 +50,8 @@
 //! additionally turns on the runtime counting allocator, adding
 //! `mem.alloc.*` totals and the per-run `mem.run_allocs.*` histograms,
 //! and gives each span end in `dsa obs trace` its self allocation count.
-//! `obs diff` and `obs regress` reject a `--threshold` that is negative or
-//! not finite; `obs runs --last`, `obs regress --window` and `obs gc
-//! --keep` must be at least 1.
+//! `obs diff` rejects a `--threshold` that is negative or not finite;
+//! `obs runs --last` and `obs gc --keep` must be at least 1.
 //!
 //! Domains: `swarm` (3270 protocols), `gossip` (108), `rep` (288).
 //! A bare command (`dsa protocols ...`) defaults to the swarm domain, and
@@ -213,9 +208,9 @@ fn journal_dir(args: &[String]) -> std::path::PathBuf {
 /// command-specific parser.
 fn run_meta_from_args(args: &[String], binary: &str, ts_ms: u64) -> dsa_obs::RunMeta {
     // The journaled command drops the observability switches: they
-    // change what is recorded, not what runs, and diff/regress group
-    // comparable runs by command string. The domain is read from it, so
-    // a switch may come first; bare domain commands run swarm.
+    // change what is recorded, not what runs, so one workload keeps one
+    // command string whichever switches observed it. The domain is read
+    // from it, so a switch may come first; bare domain commands run swarm.
     let (_, command) = ObsSwitches::take(args);
     let domain = match command.first().map(String::as_str) {
         Some(name) if dsa_core::domain::lookup(name).is_some() => Some(name.to_string()),
@@ -251,7 +246,7 @@ fn help() -> String {
         "dsa — Design Space Analysis toolkit\n\
          usage: dsa <domain> {{protocols|describe|simulate|encounter|pra|attack|evolve|attribute|search}} [...]\n\
          \u{20}      dsa bt <kind-a> [kind-b] [--frac F] [--runs N]\n\
-         \u{20}      dsa obs {{runs|trace|diff <a> <b>|regress|gc}} [--out DIR]\n\
+         \u{20}      dsa obs {{runs|trace|diff <a> <b>|gc}} [--out DIR]\n\
          domains: {}\n\
          attacks: {} (dsa <domain> attack {{list|run}})\n\
          (bare commands default to the swarm domain; global --metrics/--trace\n\
@@ -985,12 +980,11 @@ fn cmd_search(domain: &dyn DynDomain, args: &[String]) -> Result<(), String> {
 // ---- the run journal (dsa obs) -------------------------------------------
 
 fn cmd_obs(args: &[String]) -> Result<(), String> {
-    const COMMANDS: &str = "runs, trace, diff, regress, gc";
+    const COMMANDS: &str = "runs, trace, diff, gc";
     match args.first().map(String::as_str) {
         Some("runs") => cmd_obs_runs(&args[1..]),
         Some("trace") => cmd_obs_trace(&args[1..]),
         Some("diff") => cmd_obs_diff(&args[1..]),
-        Some("regress") => cmd_obs_regress(&args[1..]),
         Some("gc") => cmd_obs_gc(&args[1..]),
         Some(other) => Err(format!(
             "unknown obs command '{other}' (expected: {COMMANDS})"
@@ -1102,7 +1096,7 @@ fn resolve_record<'a>(
 ) -> Result<&'a dsa_obs::JournalRecord, String> {
     if let Ok(n) = token.parse::<i64>() {
         if n < 0 {
-            let back = usize::try_from(-n).unwrap_or(usize::MAX);
+            let back = usize::try_from(n.unsigned_abs()).unwrap_or(usize::MAX);
             return records
                 .len()
                 .checked_sub(back)
@@ -1156,71 +1150,6 @@ fn cmd_obs_diff(args: &[String]) -> Result<(), String> {
         print!("{}", dsa_obs::diff::render(ra, rb, threshold));
     }
     Ok(())
-}
-
-fn cmd_obs_regress(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = split_flags(args)?;
-    if let Some(stray) = pos.first() {
-        return Err(format!(
-            "obs regress takes no positional argument '{stray}'"
-        ));
-    }
-    check_flags(
-        &flags,
-        &[
-            "out",
-            "journal",
-            "threshold",
-            "window",
-            "floor",
-            "baselines",
-        ],
-    )?;
-    let out: String = flag(&flags, "out", "results".to_string())?;
-    let cfg = dsa_obs::regress::RegressConfig {
-        threshold_pct: cli::threshold_flag(&flags, 50.0)?,
-        window: count_flag(&flags, "window", 5)?,
-        min_self_ns: flag(&flags, "floor", 1_000_000u64)?,
-        ..dsa_obs::regress::RegressConfig::default()
-    };
-    let records = if let Some((_, path)) = flags.iter().find(|(n, _)| n == "journal") {
-        let path = std::path::Path::new(path);
-        if !path.exists() {
-            return Err(format!("journal file {} does not exist", path.display()));
-        }
-        let (records, skipped) = dsa_obs::journal::read_file(path)?;
-        if skipped > 0 {
-            eprintln!("(skipped {skipped} unparseable journal line(s))");
-        }
-        records
-    } else {
-        read_journal(&out)?
-    };
-    let baselines_path: String = flag(&flags, "baselines", "BENCH_engines.json".to_string())?;
-    let baselines = load_bench_baselines(&baselines_path)?;
-    let report = dsa_obs::regress::check(&records, &baselines, &cfg);
-    print!("{}", dsa_obs::regress::render(&report, &cfg));
-    if report.ok() {
-        Ok(())
-    } else {
-        Err(format!(
-            "perf gate failed: {} regression(s) beyond +{}%",
-            report.regressions.len(),
-            cfg.threshold_pct
-        ))
-    }
-}
-
-/// Loads the bench ceiling file for the regress gate; a missing file is
-/// a warning (ceiling check skipped), an unparseable one is an error.
-fn load_bench_baselines(path: &str) -> Result<std::collections::BTreeMap<String, f64>, String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => dsa_obs::regress::load_baselines(&text).map_err(|e| format!("{path}: {e}")),
-        Err(_) => {
-            eprintln!("(no bench baselines at {path}: ceiling check skipped)");
-            Ok(std::collections::BTreeMap::new())
-        }
-    }
 }
 
 fn cmd_obs_gc(args: &[String]) -> Result<(), String> {
@@ -1310,7 +1239,7 @@ mod tests {
 
     const FIXTURE: &str = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/journal-regress.jsonl"
+        "/tests/fixtures/obs-journal.jsonl"
     );
 
     fn argv(tokens: &[&str]) -> Vec<String> {
@@ -1363,27 +1292,10 @@ mod tests {
                 cmd_obs_diff(&argv(&["-2", "-1", "--out", out, "--threshold", bad])).unwrap_err();
             assert!(err.contains("--threshold"), "{bad}: {err}");
         }
+        // The most negative index is out of range, not a negation overflow.
+        let err = cmd_obs_diff(&argv(&["-9223372036854775808", "-1", "--out", out])).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn obs_regress_rejects_a_threshold_that_would_pass_a_planted_regression() {
-        let gate = |threshold: &str| {
-            cmd_obs_regress(&argv(&[
-                "--journal",
-                FIXTURE,
-                "--threshold",
-                threshold,
-                "--baselines",
-                "no-such-baselines.json",
-            ]))
-        };
-        let err = gate("25").unwrap_err();
-        assert!(err.contains("perf gate failed"), "{err}");
-        for bad in ["NaN", "inf", "-5"] {
-            let err = gate(bad).unwrap_err();
-            assert!(err.contains("--threshold"), "{bad}: {err}");
-        }
     }
 
     #[test]
@@ -1394,7 +1306,6 @@ mod tests {
             cmd_obs_gc(&argv(&["--out", out, "--keep", "0"])),
             cmd_obs_gc(&argv(&["--out", out, "--keep", "0", "--dry-run"])),
             cmd_obs_runs(&argv(&["--out", out, "--last", "0"])),
-            cmd_obs_regress(&argv(&["--out", out, "--window", "0"])),
         ] {
             assert!(bad.unwrap_err().contains("at least 1"));
         }

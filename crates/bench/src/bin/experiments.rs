@@ -35,7 +35,7 @@
 //! `--metrics` turns the [`dsa_obs`] counters/gauges/histograms on for
 //! the whole run and `--trace` additionally records spans; both print an
 //! observability epilogue and append the run's record to
-//! `<out>/journal.jsonl` (query it with `dsa obs runs/diff/regress`).
+//! `<out>/journal.jsonl` (query it with `dsa obs runs/diff`).
 //! `--alloc` (implies `--metrics`) turns on the runtime counting
 //! allocator: `mem.alloc.{count,bytes}` and the per-run
 //! `mem.run_allocs.*` histograms join the final RSS reading and the
@@ -295,7 +295,7 @@ fn main() -> ExitCode {
             // Journal the run's provenance. (The `profile` id journals its
             // own per-section record under the command `experiments
             // profile`; this epilogue record carries the full flag list,
-            // so the two cohorts never mix in diff/regress windows.)
+            // so the two never share a command string.)
             let meta = dsa_obs::RunMeta {
                 run_id: format!(
                     "experiments-{}-{ts_ms}-{}",
@@ -303,14 +303,7 @@ fn main() -> ExitCode {
                     std::process::id()
                 ),
                 binary: "experiments".to_string(),
-                // The journaled command drops `--alloc`: it changes what
-                // is observed, not what runs, and diff/regress group
-                // comparable runs by command string — a mem-gated cohort
-                // must include the baseline runs that had telemetry off.
-                command: format!(
-                    "experiments {}",
-                    take_switch(&raw_args, "--alloc").1.join(" ")
-                ),
+                command: journal_command(&raw_args),
                 timestamp_ms: ts_ms,
                 scale: Some(opts.scale.name.to_string()),
                 domain: None,
@@ -327,6 +320,13 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// The command a run journals: the observability switches change what is
+/// recorded, not what runs, so one workload keeps one command string
+/// whichever of them observed it.
+fn journal_command(raw_args: &[String]) -> String {
+    format!("experiments {}", ObsSwitches::take(raw_args).1.join(" "))
 }
 
 fn render_table2() -> String {
@@ -437,6 +437,31 @@ mod tests {
         assert_eq!(all.ids.len(), ALL_IDS.len());
         assert_eq!((all.scale.name, all.scale.pra.seed), ("lab", 0x5EED));
         assert_eq!(all.out, PathBuf::from("results"));
+    }
+
+    #[test]
+    fn every_obs_switch_journals_one_command() {
+        let command = |tokens: &[&str]| {
+            let args: Vec<String> = tokens.iter().map(|t| (*t).to_string()).collect();
+            journal_command(&args)
+        };
+        let plain = command(&["--scale", "smoke", "fig2"]);
+        assert_eq!(plain, "experiments --scale smoke fig2");
+        for observed in [
+            &["--metrics", "--scale", "smoke", "fig2"][..],
+            &["--scale", "smoke", "--trace", "fig2"],
+            &["--scale", "smoke", "fig2", "--alloc"],
+            &[
+                "--alloc",
+                "--scale",
+                "smoke",
+                "--trace",
+                "fig2",
+                "--metrics",
+            ],
+        ] {
+            assert_eq!(command(observed), plain, "{observed:?}");
+        }
     }
 
     #[test]

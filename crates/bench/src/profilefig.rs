@@ -259,8 +259,8 @@ pub fn profile(scale: &Scale, out_dir: &Path, ts_ms: u64) -> Result<String, Stri
     let _ = writeln!(out, "wrote {}", csv_path.display());
 
     // Journal the run: one record per profile invocation, under its own
-    // command cohort ("experiments profile") so diffing and regression
-    // windows compare profile runs only against other profile runs.
+    // command ("experiments profile"), so a diff can pick profile runs
+    // apart from the epilogue records of other runs.
     let wall_ms = sections.iter().map(|s| s.wall_ns).sum::<u64>() / 1_000_000;
     let meta = dsa_obs::RunMeta {
         run_id: format!("profile-{}-{ts_ms}-{}", scale.name, std::process::id()),

@@ -9,7 +9,7 @@
 //! counter, gauge, histogram and span — histograms and span durations
 //! reduced to count/sum plus p50/p95/p99 via [`Hist::quantile`]. The
 //! journal is the only per-run record a run leaves behind, and `dsa obs
-//! {runs,diff,regress,gc}` are the only way to query it: the durable
+//! {runs,diff,gc}` are the only way to query it: the durable
 //! record of exploration the paper's method calls for. (`dsa obs trace`
 //! runs its own traced workload and writes a trace file instead.)
 //!
@@ -19,7 +19,7 @@
 //! unparseable lines (reporting how many). When the file would exceed
 //! the size cap the current journal rotates to `journal.1.jsonl`
 //! (replacing the previous rotation) and a fresh file starts — two
-//! generations bound disk use while keeping a deep rolling window.
+//! generations bound disk use while keeping a deep history.
 
 use crate::json::{self, Json};
 use crate::metrics::{metrics_enabled, Hist};

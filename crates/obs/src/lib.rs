@@ -27,17 +27,15 @@
 //! Layered on top: the persistent **run journal** ([`journal`] —
 //! append-only JSONL provenance, one record per observed run and the
 //! only record a run persists), the Chrome-trace exporter ([`trace`],
-//! fed by [`enable_events`] / [`take_events`]), run diffing ([`diff`])
-//! and the journal-driven perf gate ([`regress`]) — the machinery behind
-//! `dsa obs {runs,trace,diff,regress,gc}`.
+//! fed by [`enable_events`] / [`take_events`]) and run diffing
+//! ([`diff`]) — the machinery behind `dsa obs {runs,trace,diff,gc}`.
 //!
 //! The **memory dimension** completes the picture: an opt-in counting
 //! allocator ([`alloc`], the `--alloc` flag, which also gives every span
 //! end in a trace its self allocation count), the end-of-run
 //! `/proc/self/status` RSS reading ([`mem`]) and scratch-arena footprint
 //! gauges recorded by the engines via [`gauge_max`]. The journal's `mem`
-//! block and the `obs regress` gate make peak RSS, arena footprint and
-//! allocation totals first-class, regression-gated quantities alongside
+//! block records peak RSS, arena footprint and allocation totals next to
 //! time.
 //!
 //! Everything is **off by default**. Until [`enable_metrics`] or
@@ -60,7 +58,6 @@ pub mod journal;
 pub mod json;
 pub mod mem;
 mod metrics;
-pub mod regress;
 mod report;
 mod span;
 pub mod trace;
