@@ -11,31 +11,23 @@
 //!   pure Nash equilibria.
 //! * [`games`] — the paper's concrete games: Prisoner's Dilemma, Dictator
 //!   game, BitTorrent Dilemma (Fig 1a), Birds (Fig 1c).
-//! * [`strategy`] — iterated-game strategies: TFT, TF2T (the paper's C1/C2
-//!   candidate-list ancestors), AllC, AllD, Grim, Win-Stay-Lose-Shift,
-//!   Random.
-//! * [`iterated`] — the iterated-game engine with discounting ("shadow of
-//!   the future") and optional noise.
-//! * [`axelrod`] — Axelrod-style round-robin tournaments, the methodological
-//!   ancestor of the paper's PRA quantification.
 //! * [`classes`] — Table 1's population parameters (N_A, N_B, N_C, U_r).
 //! * [`analytics`] — the Section 2.2 expected-win formulae for BitTorrent
 //!   and Birds in homogeneous populations.
 //! * [`nash`] — the Appendix deviation analysis: a single Birds deviant in
 //!   a BitTorrent swarm wins more games than the incumbents (BT is not NE);
 //!   a single BitTorrent deviant in a Birds swarm wins fewer (Birds is NE).
+//! * [`evolution`] — replicator and Moran dynamics over payoff matrices.
+//!
+//! Axelrod's round-robin tournaments of iterated-game strategies are the
+//! methodological ancestor of the paper's PRA quantification.
 
 pub mod analytics;
-pub mod axelrod;
 pub mod classes;
 pub mod evolution;
 pub mod game;
 pub mod games;
-pub mod iterated;
-pub mod mixed;
 pub mod nash;
-pub mod strategy;
 
 pub use classes::ClassParams;
 pub use game::{Action, Game2x2};
-pub use strategy::Strategy;
