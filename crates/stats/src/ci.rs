@@ -77,8 +77,14 @@ impl ConfidenceInterval {
 }
 
 impl std::fmt::Display for ConfidenceInterval {
+    /// `mean ± half-width`; a one-sample interval (NaN half-width) prints
+    /// its mean and says that it has no interval.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:.3} ± {:.3}", self.mean, self.half_width)
+        if self.half_width.is_nan() {
+            write!(f, "{:.3} (one sample, no interval)", self.mean)
+        } else {
+            write!(f, "{:.3} ± {:.3}", self.mean, self.half_width)
+        }
     }
 }
 
@@ -116,6 +122,14 @@ mod tests {
         let ci = ConfidenceInterval::ci95(&[42.0]);
         assert_eq!(ci.mean, 42.0);
         assert!(ci.half_width.is_nan());
+    }
+
+    #[test]
+    fn display_prints_the_interval_or_says_there_is_none() {
+        let two = ConfidenceInterval::ci95(&[1.0, 2.0]);
+        assert_eq!(two.to_string(), "1.500 ± 6.353");
+        let one = ConfidenceInterval::ci95(&[254.831]);
+        assert_eq!(one.to_string(), "254.831 (one sample, no interval)");
     }
 
     #[test]
