@@ -2,9 +2,8 @@
 //!
 //! Each `figN`/`tableN` module function returns a structured result that
 //! can be rendered as an ASCII figure and serialized as CSV; the
-//! `experiments` binary drives them from the command line, and the
-//! Criterion benches in `benches/` time each experiment at smoke scale so
-//! `cargo bench` exercises every code path.
+//! `experiments` binary drives them from the command line. Engine and
+//! figure timings come from the separate `perfbench` benchmark.
 //!
 //! The `experiments` binary's module docs list the artifact ids and the
 //! sweep cache behind each; each figure prints the paper's value next to

@@ -24,7 +24,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Smoke scale: seconds; used by unit tests and Criterion benches.
+    /// Smoke scale: seconds; used by unit tests, CI and perfbench.
     #[must_use]
     pub fn smoke() -> Self {
         Self {

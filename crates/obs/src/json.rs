@@ -1,7 +1,7 @@
 //! A minimal JSON value model, writer helpers and recursive-descent
-//! parser — just enough for the run journal, the Chrome-trace exporter
-//! and the `BENCH_*.json` baseline files, with no crates.io dependency
-//! (the workspace's offline constraint).
+//! parser — just enough for the run journal and the Chrome-trace
+//! exporter, with no crates.io dependency (the workspace's offline
+//! constraint).
 //!
 //! The parser accepts the standard grammar (objects, arrays, strings
 //! with `\uXXXX` escapes, numbers, booleans, null) and keeps object

@@ -40,9 +40,10 @@
 //!
 //! Everything is **off by default**. Until [`enable_metrics`] or
 //! [`enable_trace`] flips the global flag, every recording call is a
-//! single relaxed atomic load and an early return — unmeasurable in the
-//! engine benches. `--metrics` enables the registry; `--trace` enables
-//! both the registry and span timing.
+//! single relaxed atomic load and an early return; measured against
+//! uninstrumented engines, that cost was inside run-to-run noise.
+//! `--metrics` enables the registry; `--trace` enables both the registry
+//! and span timing.
 //!
 //! # Naming scheme
 //!
