@@ -371,7 +371,6 @@ mod tests {
     /// provenance; the warm render reads every number from the table.
     #[test]
     fn gossip_renders_alike_cold_and_warm_from_the_table() {
-        let _guard = crate::test_lock::cache();
         let dir = std::env::temp_dir().join(format!("dsa-attribfig-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let scale = Scale::smoke();

@@ -113,7 +113,7 @@ fn main() -> ExitCode {
     dsa_attacks::register_builtin();
     // Sample the clock once at startup; the journal record receives this
     // value instead of reading the clock itself.
-    let ts_ms = unix_ms();
+    let ts_ms = cli::unix_ms();
     let t0 = std::time::Instant::now();
     let raw_args: Vec<String> = std::env::args().skip(1).collect();
     // The observability switches are global: strip them before any
@@ -141,36 +141,13 @@ fn main() -> ExitCode {
             }
         }
     };
-    if obs.any() {
-        // Final memory boundary: one last RSS reading, then fold the
-        // allocation tallies (no-op without --alloc) into the snapshot
-        // the epilogue and journal render from.
-        dsa_obs::mem::sample();
-        let mut snap = dsa_obs::snapshot();
-        dsa_obs::alloc::publish_into(&mut snap);
-        if !snap.is_empty() {
-            println!("==== observability ====");
-            print!("{}", snap.render());
-            // Append the run's provenance record to the journal — but
-            // not for `obs` meta-commands: they read or export the
-            // journal rather than run a workload, and `obs trace`'s
-            // `--out` is a file, not a results dir.
-            if args.first().map(String::as_str) != Some("obs") {
-                let wall_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-                let meta = run_meta_from_args(&raw_args, "dsa", ts_ms);
-                let out_dir = journal_dir(&raw_args);
-                let record = dsa_obs::JournalRecord::from_snapshot(meta, wall_ms, &snap);
-                match dsa_obs::journal::append(
-                    &out_dir,
-                    &record,
-                    dsa_obs::journal::DEFAULT_MAX_BYTES,
-                ) {
-                    Ok(path) => println!("journaled {} to {}", record.meta.run_id, path.display()),
-                    Err(msg) => eprintln!("journal append failed: {msg}"),
-                }
-            }
-        }
-    }
+    // `obs` meta-commands read or export the journal rather than run a
+    // workload, and `obs trace`'s `--out` is a file, not a results dir:
+    // they print the epilogue and journal nothing.
+    let runs_workload = args.first().map(String::as_str) != Some("obs");
+    let meta = run_meta_from_args(&raw_args, "dsa", ts_ms);
+    let out_dir = journal_dir(&raw_args);
+    obs.finish(t0, runs_workload.then_some((meta, out_dir.as_path())));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
@@ -178,14 +155,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Unix milliseconds — sampled exactly once, in `main`.
-fn unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-        .unwrap_or(0)
 }
 
 /// The value following `--flag` in a raw argument list, if any.
@@ -1022,8 +991,8 @@ fn cmd_obs_runs(args: &[String]) -> Result<(), String> {
     let records = read_journal(&out)?;
     if records.is_empty() {
         println!(
-            "no journal records under {out} (runs with --metrics/--trace and \
-             'experiments profile' append to {}/{})",
+            "no journal records under {out} (runs with --metrics, --trace or \
+             --alloc append to {}/{})",
             out,
             dsa_obs::journal::JOURNAL_FILE
         );

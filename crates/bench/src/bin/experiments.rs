@@ -8,8 +8,7 @@
 //!
 //! ids: fig1 table1 table2 nash fig2 fig3 fig4 fig5 fig6 fig7 fig8
 //!      table3 churn corr9010 birds fig9a fig9b fig9c fig10 gossip
-//!      rep whitewash cross attacks evolution attribution profile
-//!      search all
+//!      rep whitewash cross attacks evolution attribution search all
 //! ```
 //!
 //! Sweep-based experiments share content-addressed caches at
@@ -34,15 +33,12 @@
 //!
 //! `--metrics` turns the [`dsa_obs`] counters/gauges/histograms on for
 //! the whole run and `--trace` additionally records spans; both print an
-//! observability epilogue and append the run's record to
-//! `<out>/journal.jsonl` (query it with `dsa obs runs/diff`).
-//! `--alloc` (implies `--metrics`) turns on the runtime counting
-//! allocator: `mem.alloc.{count,bytes}` and the per-run
+//! observability epilogue and append one record for the whole run,
+//! whatever ids it ran, to `<out>/journal.jsonl` (query it with `dsa obs
+//! runs/diff`). `--alloc` (implies `--metrics`) turns on the runtime
+//! counting allocator: `mem.alloc.{count,bytes}` and the per-run
 //! `mem.run_allocs.*` histograms join the final RSS reading and the
-//! arena-footprint gauges that `--metrics` already records. The
-//! `profile` id renders the per-engine time-attribution figure and
-//! always journals itself (it manages, and resets, the obs registries
-//! itself).
+//! arena-footprint gauges that `--metrics` already records.
 //!
 //! The command line is parsed with [`dsa_bench::cli`], the parser `dsa`
 //! uses: a repeated flag takes its first value, except `--mutants`,
@@ -57,7 +53,6 @@ use dsa_bench::figures;
 use dsa_bench::gossipfig;
 use dsa_bench::nashdemo;
 use dsa_bench::prafig;
-use dsa_bench::profilefig;
 use dsa_bench::regress;
 use dsa_bench::repfig;
 use dsa_bench::scale::Scale;
@@ -95,7 +90,6 @@ const ALL_IDS: &[&str] = &[
     "attacks",
     "evolution",
     "attribution",
-    "profile",
     "search",
 ];
 
@@ -177,10 +171,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 fn main() -> ExitCode {
     // Sample the clock once at startup; journal records receive this
     // value instead of reading the clock themselves.
-    let ts_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-        .unwrap_or(0);
+    let ts_ms = cli::unix_ms();
     let t0 = std::time::Instant::now();
     let raw_args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&raw_args) {
@@ -269,7 +260,6 @@ fn main() -> ExitCode {
             "attacks" => attackfig::attacks(&opts.scale, &opts.out, opts.budgets.as_deref()),
             "evolution" => evofig::evolution(&opts.scale, &opts.out, &opts.mutants),
             "attribution" => attribfig::attribution(&opts.scale, &opts.out, &opts.responses),
-            "profile" => profilefig::profile(&opts.scale, &opts.out, ts_ms),
             "search" => Ok(render_search(&opts.scale)),
             other => Err(format!("unknown experiment id '{other}'")),
         };
@@ -281,44 +271,21 @@ fn main() -> ExitCode {
             }
         }
     }
-    if opts.obs.any() {
-        // Final memory boundary: one last RSS reading into the registry,
-        // then fold the allocation tallies (no-op without --alloc) into
-        // the snapshot the journal and epilogue both render from.
-        dsa_obs::mem::sample();
-        let mut snap = dsa_obs::snapshot();
-        dsa_obs::alloc::publish_into(&mut snap);
-        if !snap.is_empty() {
-            println!("==== observability ====");
-            print!("{}", snap.render());
-            let threads = dsa_core::parallel::effective_threads(opts.scale.pra.threads, usize::MAX);
-            // Journal the run's provenance. (The `profile` id journals its
-            // own per-section record under the command `experiments
-            // profile`; this epilogue record carries the full flag list,
-            // so the two never share a command string.)
-            let meta = dsa_obs::RunMeta {
-                run_id: format!(
-                    "experiments-{}-{ts_ms}-{}",
-                    opts.scale.name,
-                    std::process::id()
-                ),
-                binary: "experiments".to_string(),
-                command: journal_command(&raw_args),
-                timestamp_ms: ts_ms,
-                scale: Some(opts.scale.name.to_string()),
-                domain: None,
-                seed: Some(opts.scale.pra.seed),
-                threads,
-            };
-            let wall_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-            let record = dsa_obs::JournalRecord::from_snapshot(meta, wall_ms, &snap);
-            match dsa_obs::journal::append(&opts.out, &record, dsa_obs::journal::DEFAULT_MAX_BYTES)
-            {
-                Ok(path) => println!("journaled {} to {}", record.meta.run_id, path.display()),
-                Err(msg) => eprintln!("journal append failed: {msg}"),
-            }
-        }
-    }
+    let meta = dsa_obs::RunMeta {
+        run_id: format!(
+            "experiments-{}-{ts_ms}-{}",
+            opts.scale.name,
+            std::process::id()
+        ),
+        binary: "experiments".to_string(),
+        command: journal_command(&raw_args),
+        timestamp_ms: ts_ms,
+        scale: Some(opts.scale.name.to_string()),
+        domain: None,
+        seed: Some(opts.scale.pra.seed),
+        threads: dsa_core::parallel::effective_threads(opts.scale.pra.threads, usize::MAX),
+    };
+    opts.obs.finish(t0, Some((meta, &opts.out)));
     ExitCode::SUCCESS
 }
 

@@ -9,9 +9,12 @@
 //! an adversary budget, a budget grid, a percentage threshold — live here
 //! too, so the two binaries cannot disagree about what they accept.
 //! [`ObsSwitches`] strips and acts on the global `--metrics`, `--trace`
-//! and `--alloc`.
+//! and `--alloc`, and [`ObsSwitches::finish`] ends every observed run of
+//! either binary: one epilogue and at most one journal record.
 
+use std::path::Path;
 use std::str::FromStr;
+use std::time::Instant;
 
 /// The observability switches both binaries take anywhere on the
 /// command line.
@@ -62,6 +65,46 @@ impl ObsSwitches {
             dsa_obs::enable_metrics();
         }
     }
+
+    /// Ends a run the switches observed; both binaries call it last, so
+    /// a run has one end. Takes a last RSS reading, folds the allocation
+    /// tallies (no-op without `--alloc`) into the snapshot, prints the
+    /// epilogue and, given the run's identity and results directory,
+    /// appends its one journal record there with every cache event since
+    /// the process started. Without a switch, or with empty registries,
+    /// it prints and journals nothing.
+    pub fn finish(self, started: Instant, journal: Option<(dsa_obs::RunMeta, &Path)>) {
+        if !self.any() {
+            return;
+        }
+        dsa_obs::mem::sample();
+        let mut snap = dsa_obs::snapshot();
+        dsa_obs::alloc::publish_into(&mut snap);
+        if snap.is_empty() {
+            return;
+        }
+        println!("==== observability ====");
+        print!("{}", snap.render());
+        let Some((meta, dir)) = journal else {
+            return;
+        };
+        let wall_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
+        let record = dsa_obs::JournalRecord::from_snapshot(meta, wall_ms, &snap);
+        match dsa_obs::journal::append(dir, &record, dsa_obs::journal::DEFAULT_MAX_BYTES) {
+            Ok(path) => println!("journaled {} to {}", record.meta.run_id, path.display()),
+            Err(msg) => eprintln!("journal append failed: {msg}"),
+        }
+    }
+}
+
+/// Unix milliseconds, which a binary samples once at start-up and hands
+/// to its journal record.
+#[must_use]
+pub fn unix_ms() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
+        .unwrap_or(0)
 }
 
 /// Parsed `--flag value` pairs, in command-line order.

@@ -215,7 +215,6 @@ mod tests {
     /// exercise the per-domain pipeline against gossip alone instead.
     #[test]
     fn gossip_evolution_runs_and_caches() {
-        let _guard = crate::test_lock::cache();
         let dir = std::env::temp_dir().join(format!("dsa-evofig-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let scale = Scale::smoke();

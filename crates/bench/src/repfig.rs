@@ -94,7 +94,6 @@ mod tests {
 
     #[test]
     fn reputation_dsa_runs_caches_and_reports() {
-        let _guard = crate::test_lock::cache();
         let dir = std::env::temp_dir().join(format!("dsa-repfig-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let scale = Scale::smoke();
@@ -111,7 +110,6 @@ mod tests {
 
     #[test]
     fn stale_space_hash_stamp_is_recomputed_not_trusted() {
-        let _guard = crate::test_lock::cache();
         // The EigenTrust actualization grew the reputation space from 216
         // to 288 protocols, which changes the space-shape hash: a cache
         // stamped under the old shape (e.g. a committed pra-rep-*.csv from

@@ -83,7 +83,6 @@ mod tests {
     /// file. Nothing is simulated.
     #[test]
     fn cache_roundtrip() {
-        let _guard = crate::test_lock::cache();
         let dir = std::env::temp_dir().join(format!("dsa-sweep-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let scale = Scale::smoke();

@@ -9,8 +9,9 @@
 //! would make the longer run strictly larger. Doubling the horizon makes
 //! the check robust without hard-coding an allocation budget.
 //!
-//! Both populations are mixed (three protocols) so the checks exercise
-//! the branchy decision paths, not just the homogeneous fast paths.
+//! The swarm and reputation populations are mixed (three protocols) and
+//! btsim's holds all five clients, so the checks exercise the branchy
+//! decision paths, not just the homogeneous fast paths.
 
 #[global_allocator]
 static GLOBAL_ALLOC: dsa_obs::alloc::CountingAlloc = dsa_obs::alloc::CountingAlloc;
@@ -152,5 +153,43 @@ fn rep_round_loop_is_allocation_free() {
         allocs_short, allocs_long,
         "reputation run allocations grew with the round count: \
          {allocs_short} for 80 rounds vs {allocs_long} for 160"
+    );
+}
+
+#[test]
+fn btsim_tick_loop_is_allocation_free() {
+    use dsa_btsim::choker::ClientKind;
+    use dsa_btsim::config::BtConfig;
+    use dsa_btsim::swarm::{simulate_with_scratch, BtScratch};
+
+    // The figures' configuration, cut short: at 160 ticks the swarm is
+    // still downloading, so both runs tick to their horizon.
+    let short = BtConfig {
+        max_ticks: 80,
+        ..BtConfig::default()
+    };
+    let long = BtConfig {
+        max_ticks: 160,
+        ..BtConfig::default()
+    };
+    let kinds: Vec<ClientKind> = (0..short.leechers)
+        .map(|i| ClientKind::ALL[i % ClientKind::ALL.len()])
+        .collect();
+    let mut scratch = BtScratch::default();
+
+    let warm = simulate_with_scratch(&kinds, &long, 7, &mut scratch);
+    assert_eq!(warm.ticks_elapsed, long.max_ticks);
+    assert!(
+        !warm.all_completed(),
+        "the long run must still be downloading"
+    );
+    simulate_with_scratch(&kinds, &short, 7, &mut scratch);
+
+    let allocs_short = allocs_during(|| simulate_with_scratch(&kinds, &short, 7, &mut scratch));
+    let allocs_long = allocs_during(|| simulate_with_scratch(&kinds, &long, 7, &mut scratch));
+    assert_eq!(
+        allocs_short, allocs_long,
+        "btsim run allocations grew with the tick count: \
+         {allocs_short} for 80 ticks vs {allocs_long} for 160"
     );
 }

@@ -38,7 +38,9 @@ impl Peer {
             upload_capacity,
             bitfield: Bitfield::empty(pieces),
             piece_progress: vec![0.0; pieces],
-            unchoked: Vec::new(),
+            // Sized once: a rechoke unchokes at most every other peer,
+            // so the tick loop never grows it.
+            unchoked: Vec::with_capacity(swarm_size),
             optimistic: None,
             window_received: vec![0.0; swarm_size],
             rate_estimate: vec![0.0; swarm_size],

@@ -114,33 +114,30 @@ pub fn rarest_first(
     in_flight: &[bool],
     rng: &mut dsa_workloads::rng::Xoshiro256pp,
 ) -> Option<usize> {
+    // Two passes and no buffer: the first finds the best key and counts
+    // its ties, the second takes the drawn tie in index order. One draw
+    // per pick; the btsim golden digest pins the stream.
+    let useful = |p: &usize| !wanting.has(*p) && source.has(*p);
+    let key = |p: usize| (in_flight[p], availability[p]);
     let mut best: Option<(bool, u32)> = None;
-    let mut ties: Vec<usize> = Vec::new();
-    for p in 0..wanting.len() {
-        if wanting.has(p) || !source.has(p) {
-            continue;
-        }
+    let mut ties = 0;
+    for p in (0..wanting.len()).filter(useful) {
         // Prefer pieces nobody is fetching yet, then rarest.
-        let key = (in_flight[p], availability[p]);
         match best {
-            None => {
-                best = Some(key);
-                ties.push(p);
+            Some(b) if key(p) > b => {}
+            Some(b) if key(p) == b => ties += 1,
+            _ => {
+                best = Some(key(p));
+                ties = 1;
             }
-            Some(b) if key < b => {
-                best = Some(key);
-                ties.clear();
-                ties.push(p);
-            }
-            Some(b) if key == b => ties.push(p),
-            Some(_) => {}
         }
     }
-    if ties.is_empty() {
-        None
-    } else {
-        Some(ties[rng.index(ties.len())])
-    }
+    let best = best?;
+    let pick = rng.index(ties);
+    (0..wanting.len())
+        .filter(useful)
+        .filter(|&p| key(p) == best)
+        .nth(pick)
 }
 
 #[cfg(test)]

@@ -318,6 +318,8 @@ fn cache_file_name(path: &Path) -> &str {
 /// temporary sibling first and is renamed into place, so an interrupted
 /// run can never leave a stamp-matching truncated file (which would
 /// surface as a hard "corrupt cache" error on every subsequent run).
+/// Every cache a run writes, whatever its kind, counts as one
+/// `cache.store` and notes one `store` event (when metrics are enabled).
 ///
 /// # Errors
 ///
@@ -333,6 +335,8 @@ pub fn write_stamped(path: &Path, key: &SweepKey, body: &str) -> Result<(), Stri
     dsa_obs::observe("cache.write_bytes", body.len() as u64);
     std::fs::write(&tmp, text).map_err(|e| format!("writing {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, path).map_err(|e| format!("installing {}: {e}", path.display()))?;
+    dsa_obs::incr("cache.store");
+    dsa_obs::note_cache_event(cache_file_name(path), "store");
     Ok(())
 }
 
@@ -425,8 +429,6 @@ impl DomainSweep {
         }
         let path = self.key.cache_path(out_dir);
         write_stamped(&path, &self.key, &self.results.to_csv(Some(&self.names)))?;
-        dsa_obs::incr("cache.store");
-        dsa_obs::note_cache_event(cache_file_name(&path), "store");
         Ok(path)
     }
 }

@@ -123,6 +123,40 @@ fn rerun_flips_miss_to_hit() {
 }
 
 #[test]
+fn every_stamped_write_counts_one_store() {
+    let _g = LOCK.lock().unwrap();
+    dsa_obs::enable_metrics();
+    dsa_obs::reset();
+    let dir = temp_dir("store");
+    // The attack, evolution and attribution caches write through
+    // `write_stamped` directly, not through `DomainSweep::store`.
+    let key = SweepKey {
+        domain: "rep".into(),
+        space_hash: 0x0123,
+        scale: "smoke".into(),
+        params: 0x4567,
+        seed: 7,
+        len: 1,
+        attack: 0xA77A,
+        evo: 0,
+        attrib: 0,
+    };
+    write_stamped(&dir.join("attack-rep-sybil-smoke.csv"), &key, "row\n").unwrap();
+    let snap = dsa_obs::snapshot();
+    let events = dsa_obs::journal::cache_events();
+    dsa_obs::disable();
+    assert_eq!(snap.counters["cache.store"], 1);
+    assert_eq!(
+        events,
+        [(
+            "attack-rep-sybil-smoke.csv".to_string(),
+            "store".to_string()
+        )]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn each_stamp_field_mismatch_counts_under_its_own_name() {
     let _g = LOCK.lock().unwrap();
     dsa_obs::enable_metrics();

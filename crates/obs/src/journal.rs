@@ -1,9 +1,10 @@
 //! The persistent run journal: append-only, self-describing JSONL
 //! provenance for every observed run.
 //!
-//! Every `--metrics`/`--trace` run (and every `experiments profile`)
-//! appends one [`JournalRecord`] line to `results/journal.jsonl`: run
-//! identity (id, binary, command line, timestamp), workload coordinates
+//! Every run observed with `--metrics`, `--trace` or `--alloc` appends
+//! exactly one [`JournalRecord`] line, covering the whole run, to
+//! `<out>/journal.jsonl` (`results/` by default): run identity (id,
+//! binary, command line, timestamp), workload coordinates
 //! (domain/scale/seed/threads), the cache stamps it touched with their
 //! hit/miss outcomes, wall-clock, and a compact snapshot of every
 //! counter, gauge, histogram and span — histograms and span durations
@@ -34,7 +35,8 @@ use std::sync::Mutex;
 pub const JOURNAL_FILE: &str = "journal.jsonl";
 /// The rotated (previous-generation) journal file name.
 pub const JOURNAL_ROTATED: &str = "journal.1.jsonl";
-/// Default rotation threshold: 1 MiB (~1000 smoke-profile records).
+/// Default rotation threshold: 1 MiB (~500 records of a traced smoke
+/// `experiments` run, ~2 KB each).
 pub const DEFAULT_MAX_BYTES: u64 = 1 << 20;
 
 /// Run identity and workload coordinates, supplied by the binary (the
@@ -42,7 +44,7 @@ pub const DEFAULT_MAX_BYTES: u64 = 1 << 20;
 /// reads and tests stay deterministic).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunMeta {
-    /// Unique run id, e.g. `profile-smoke-1754640000000-4242`.
+    /// Unique run id, e.g. `experiments-smoke-1754640000000-4242`.
     pub run_id: String,
     /// Binary name (`dsa` or `experiments`).
     pub binary: String,

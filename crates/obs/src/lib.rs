@@ -50,8 +50,9 @@
 //! Dotted lowercase paths, component first: `cache.hit`,
 //! `cache.miss.seed`, `parallel.tasks`, `swarm.rounds`, `attacks.cell_ns`,
 //! `evo.rows_per_sec`. Histogram and gauge names carry their unit as a
-//! suffix (`_ns`, `_per_sec`). Names must not contain commas or
-//! whitespace (span names are fields of `profile-<scale>.csv`).
+//! suffix (`_ns`, `_per_sec`). Names must not contain whitespace: the
+//! epilogue and `dsa obs diff` print each name as the first of
+//! whitespace-separated columns.
 
 pub mod alloc;
 pub mod diff;
@@ -88,7 +89,7 @@ pub fn reset() {
 /// Opens a span guard over the enclosing scope.
 ///
 /// `span!("rep.run")` expands to [`span()`] with a `&'static str` name;
-/// `span!("profile.{domain}")` (any extra formatting arguments) expands
+/// `span!("trace.{domain}")` (any extra formatting arguments) expands
 /// to [`span_owned`]. Bind the guard (`let _g = span!(...)`) — an unbound
 /// `let _ =` drops it immediately and times nothing.
 #[macro_export]

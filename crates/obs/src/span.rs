@@ -163,7 +163,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     open(Cow::Borrowed(name))
 }
 
-/// Opens a span with a computed name (e.g. `profile.{domain}`). Prefer
+/// Opens a span with a computed name (e.g. `trace.{domain}`). Prefer
 /// [`span`] on hot paths; this one allocates only while tracing is on.
 pub fn span_owned(name: String) -> SpanGuard {
     if !trace_enabled() {
