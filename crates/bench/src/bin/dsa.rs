@@ -45,11 +45,11 @@
 //! any command and `--trace` additionally records spans; both print an
 //! observability epilogue after the command's own output **and append a
 //! provenance record to `<out>/journal.jsonl`** (see `dsa obs runs`).
-//! `--metrics` also records the final process RSS and the engines' arena
-//! footprints; the global `--alloc` switch (implies `--metrics`)
-//! additionally turns on the runtime counting allocator, adding
-//! `mem.alloc.*` totals and the per-run `mem.run_allocs.*` histograms,
-//! and gives each span end in `dsa obs trace` its self allocation count.
+//! `--metrics` also records the final process RSS; the global `--alloc`
+//! switch (implies `--metrics`) additionally turns on the runtime
+//! counting allocator, adding `mem.alloc.*` totals and the per-run
+//! `mem.run_allocs.*` histograms, and gives each span end in `dsa obs
+//! trace` its self allocation count.
 //! `obs diff` rejects a `--threshold` that is negative or not finite;
 //! `obs runs --last` and `obs gc --keep` must be at least 1.
 //!

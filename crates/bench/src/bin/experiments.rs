@@ -37,8 +37,8 @@
 //! whatever ids it ran, to `<out>/journal.jsonl` (query it with `dsa obs
 //! runs/diff`). `--alloc` (implies `--metrics`) turns on the runtime
 //! counting allocator: `mem.alloc.{count,bytes}` and the per-run
-//! `mem.run_allocs.*` histograms join the final RSS reading and the
-//! arena-footprint gauges that `--metrics` already records.
+//! `mem.run_allocs.*` histograms join the final RSS reading that
+//! `--metrics` already records.
 //!
 //! The command line is parsed with [`dsa_bench::cli`], the parser `dsa`
 //! uses: a repeated flag takes its first value, except `--mutants`,

@@ -16,22 +16,19 @@
 #[global_allocator]
 static GLOBAL_ALLOC: dsa_obs::alloc::CountingAlloc = dsa_obs::alloc::CountingAlloc;
 
-/// The current thread's allocation count and live bytes. Turns counting
-/// on first, so no test can measure zero because counting was off.
-fn tallies() -> (u64, i64) {
+/// The current thread's allocation count. Turns counting on first, so
+/// no test can measure zero because counting was off.
+fn tallies() -> u64 {
     dsa_obs::alloc::enable();
-    (
-        dsa_obs::alloc::thread_count(),
-        dsa_obs::alloc::thread_live_bytes(),
-    )
+    dsa_obs::alloc::thread_count()
 }
 
 /// Allocations the current thread performs inside `f` (its result is
 /// dropped outside the window).
 fn allocs_during<R>(f: impl FnOnce() -> R) -> u64 {
-    let (before, _) = tallies();
+    let before = tallies();
     let out = f();
-    let (after, _) = tallies();
+    let after = tallies();
     drop(out);
     after - before
 }
@@ -77,50 +74,6 @@ fn swarm_round_loop_is_allocation_free() {
         allocs_short, allocs_long,
         "swarm run allocations grew with the round count: \
          {allocs_short} for 100 rounds vs {allocs_long} for 200"
-    );
-}
-
-#[test]
-fn swarm_footprint_matches_counted_live_bytes() {
-    use dsa_swarm::engine::{run_with_scratch, SimConfig, SwarmScratch};
-    use dsa_swarm::presets;
-
-    let protos = [
-        presets::bittorrent(),
-        presets::sort_s(),
-        presets::freerider(),
-    ];
-    let cfg = SimConfig {
-        peers: 24,
-        rounds: 60,
-        ..SimConfig::default()
-    };
-    let assignment: Vec<usize> = (0..cfg.peers).map(|i| i % protos.len()).collect();
-
-    // Warm-up through a throwaway arena so one-time lazy initializations
-    // (span machinery, thread-locals) do not land inside the window.
-    run_with_scratch(&protos, &assignment, &cfg, 7, &mut SwarmScratch::default());
-
-    let (_, before) = tallies();
-    let mut scratch = SwarmScratch::default();
-    let out = run_with_scratch(&protos, &assignment, &cfg, 7, &mut scratch);
-    drop(out);
-    let live = tallies().1 - before;
-    let fp = i64::try_from(scratch.footprint()).unwrap();
-
-    // With the run's outputs dropped, what is still live on this thread
-    // is the arena. `footprint()` walks declared buffers, so it can only
-    // miss bytes, never invent them — it must lower-bound the counted
-    // live bytes and account for nearly all of them.
-    assert!(fp > 0, "warm arena must report a footprint");
-    assert!(
-        fp <= live,
-        "footprint {fp} exceeds counted live bytes {live}"
-    );
-    assert!(
-        live - fp <= live / 8 + 1024,
-        "footprint {fp} misses too much of the {live} live bytes: \
-         a scratch buffer is not counted"
     );
 }
 

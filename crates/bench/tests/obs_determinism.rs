@@ -21,8 +21,10 @@ use dsa_core::pra::PraConfig;
 use dsa_core::tournament::OpponentSampling;
 use dsa_obs::Snapshot;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
+/// Serializes the tests. It guards no data, so a guard poisoned by a
+/// failing test is recovered and the other tests still run.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn config(threads: usize) -> PraConfig {
@@ -64,7 +66,7 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn counts_are_bit_identical_across_1_and_8_threads() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (dir1, dir8) = (fresh_dir("t1"), fresh_dir("t8"));
     let one = traced_sweep(1, &dir1);
     let eight = traced_sweep(8, &dir8);
@@ -122,7 +124,7 @@ fn counts_are_bit_identical_across_1_and_8_threads() {
 
 #[test]
 fn trace_shape_is_stable_across_reruns() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (a, b) = (fresh_dir("ra"), fresh_dir("rb"));
     let first = traced_sweep(0, &a);
     let second = traced_sweep(0, &b);

@@ -79,27 +79,6 @@ pub struct BtScratch {
     availability: Vec<u32>,
 }
 
-impl BtScratch {
-    /// Heap bytes held by the arena: every buffer's capacity times its
-    /// element size. Monotone across runs through one scratch —
-    /// published as the `mem.arena.btsim_bytes` high-water gauge.
-    #[must_use]
-    pub fn footprint(&self) -> usize {
-        use dsa_obs::mem::vec_bytes;
-        vec_bytes(&self.interested)
-            + vec_bytes(&self.ranked)
-            + vec_bytes(&self.vals)
-            + vec_bytes(&self.order)
-            + vec_bytes(&self.pool)
-            + vec_bytes(&self.wanting)
-            + vec_bytes(&self.chosen)
-            + vec_bytes(&self.targets)
-            + vec_bytes(&self.newly_complete)
-            + vec_bytes(&self.in_flight)
-            + vec_bytes(&self.availability)
-    }
-}
-
 /// Simulates one swarm: `kinds[i]` is leecher `i`'s client; one seeder
 /// (index `kinds.len()`) serves round-robin. Deterministic in `seed`.
 /// Traced as a `btsim.run` span with `btsim.{setup,rounds,payoff}` phase
@@ -366,15 +345,8 @@ pub fn simulate_with_scratch(
     let loop_allocs = dsa_obs::alloc::thread_count().saturating_sub(loop_allocs);
 
     let _payoff_span = dsa_obs::span("btsim.payoff");
-
-    // Arena accounting (see the swarm engine for the pattern).
-    if dsa_obs::metrics_enabled() {
-        let bytes = scratch.footprint() as f64;
-        dsa_obs::gauge_max("mem.arena.btsim_bytes", bytes);
-        dsa_obs::gauge_max("mem.arena_peak_bytes", bytes);
-        if dsa_obs::alloc::enabled() {
-            dsa_obs::observe_thread_dependent("mem.run_allocs.btsim", loop_allocs);
-        }
+    if dsa_obs::metrics_enabled() && dsa_obs::alloc::enabled() {
+        dsa_obs::observe_thread_dependent("mem.run_allocs.btsim", loop_allocs);
     }
     SwarmOutcome {
         completion_ticks: (0..n).map(|j| peers[j].completed_at).collect(),

@@ -12,8 +12,10 @@ use dsa_core::sim::EncounterSim;
 use dsa_core::space::{DesignSpace, Dimension};
 use dsa_core::tournament::OpponentSampling;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
+/// Serializes the tests. It guards no data, so a guard poisoned by a
+/// failing test is recovered and the other tests still run.
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// An analytic five-protocol domain (protocols are generosity levels),
@@ -93,7 +95,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn rerun_flips_miss_to_hit() {
-    let _g = LOCK.lock().unwrap();
+    let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     dsa_obs::enable_metrics();
     dsa_obs::reset();
     let dir = temp_dir("flip");
@@ -124,7 +126,7 @@ fn rerun_flips_miss_to_hit() {
 
 #[test]
 fn every_stamped_write_counts_one_store() {
-    let _g = LOCK.lock().unwrap();
+    let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     dsa_obs::enable_metrics();
     dsa_obs::reset();
     let dir = temp_dir("store");
@@ -158,7 +160,7 @@ fn every_stamped_write_counts_one_store() {
 
 #[test]
 fn each_stamp_field_mismatch_counts_under_its_own_name() {
-    let _g = LOCK.lock().unwrap();
+    let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     dsa_obs::enable_metrics();
     dsa_obs::reset();
     let dir = temp_dir("fields");
@@ -217,7 +219,7 @@ fn each_stamp_field_mismatch_counts_under_its_own_name() {
 
 #[test]
 fn fork_join_regions_report_load_metrics() {
-    let _g = LOCK.lock().unwrap();
+    let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     dsa_obs::enable_metrics();
     dsa_obs::reset();
 
@@ -244,7 +246,7 @@ fn fork_join_regions_report_load_metrics() {
 
 #[test]
 fn disabled_metrics_record_nothing_from_core() {
-    let _g = LOCK.lock().unwrap();
+    let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     dsa_obs::disable();
     dsa_obs::reset();
     let dir = temp_dir("off");

@@ -113,28 +113,6 @@ pub struct GossipScratch {
     ranks: Vec<usize>,
 }
 
-impl GossipScratch {
-    /// Heap bytes held by the arena: every buffer's capacity times its
-    /// element size. Monotone across runs through one scratch —
-    /// published as the `mem.arena.gossip_bytes` high-water gauge.
-    #[must_use]
-    pub fn footprint(&self) -> usize {
-        use dsa_obs::mem::vec_bytes;
-        vec_bytes(&self.items)
-            + vec_bytes(&self.items_len)
-            + vec_bytes(&self.holds)
-            + vec_bytes(&self.received_from)
-            + vec_bytes(&self.streak)
-            + vec_bytes(&self.deliveries)
-            + vec_bytes(&self.partners)
-            + vec_bytes(&self.sample)
-            + vec_bytes(&self.batch)
-            + vec_bytes(&self.others)
-            + vec_bytes(&self.values)
-            + vec_bytes(&self.ranks)
-    }
-}
-
 /// Runs one gossip simulation; returns per-node utilities. Traced as a
 /// `gossip.run` span with `gossip.{setup,rounds,payoff}` phase children
 /// when tracing is on.
@@ -362,14 +340,8 @@ pub fn run_with_scratch(
     *streak = nodes.streak;
     *deliveries = nodes.deliveries;
 
-    // Arena accounting (see the swarm engine for the pattern).
-    if dsa_obs::metrics_enabled() {
-        let bytes = scratch.footprint() as f64;
-        dsa_obs::gauge_max("mem.arena.gossip_bytes", bytes);
-        dsa_obs::gauge_max("mem.arena_peak_bytes", bytes);
-        if dsa_obs::alloc::enabled() {
-            dsa_obs::observe_thread_dependent("mem.run_allocs.gossip", loop_allocs);
-        }
+    if dsa_obs::metrics_enabled() && dsa_obs::alloc::enabled() {
+        dsa_obs::observe_thread_dependent("mem.run_allocs.gossip", loop_allocs);
     }
     out
 }

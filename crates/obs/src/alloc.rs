@@ -15,10 +15,10 @@
 //!   as `mem.alloc.count` / `mem.alloc.bytes` counters and a
 //!   `mem.alloc.peak_live_bytes` gauge, so every epilogue and journal
 //!   record carries them when counting is on.
-//! - **Thread-locals**: per-thread allocation count and live bytes, so
-//!   tests (and the engines' per-run steady-state histogram, and the
-//!   spans' self allocation counts in `dsa obs trace`) can measure a code
-//!   region without bleed from other threads.
+//! - **A thread-local**: the per-thread allocation count, so tests (and
+//!   the engines' per-run steady-state histogram, and the spans' self
+//!   allocation counts in `dsa obs trace`) can measure a code region
+//!   without bleed from other threads.
 //!
 //! The tally path must not allocate (it runs inside the allocator) —
 //! it touches only atomics and const-initialized thread-local cells.
@@ -36,7 +36,6 @@ static PEAK_LIVE: AtomicI64 = AtomicI64::new(0);
 
 thread_local! {
     static THREAD_COUNT: Cell<u64> = const { Cell::new(0) };
-    static THREAD_LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Turns allocation tallying on — the `--alloc` flag. There is no off
@@ -62,7 +61,6 @@ fn tally(bytes: usize) {
     let live = LIVE.fetch_add(bytes as i64, Ordering::Relaxed) + bytes as i64;
     PEAK_LIVE.fetch_max(live, Ordering::Relaxed);
     THREAD_COUNT.with(|c| c.set(c.get() + 1));
-    THREAD_LIVE.with(|c| c.set(c.get() + bytes as i64));
 }
 
 /// Tallies one deallocation of `bytes` (live-bytes bookkeeping only —
@@ -70,7 +68,6 @@ fn tally(bytes: usize) {
 /// contract). Never allocates.
 fn tally_free(bytes: usize) {
     LIVE.fetch_sub(bytes as i64, Ordering::Relaxed);
-    THREAD_LIVE.with(|c| c.set(c.get() - bytes as i64));
 }
 
 /// Total allocations tallied process-wide since enabling.
@@ -96,15 +93,6 @@ pub fn peak_live_bytes() -> u64 {
 #[must_use]
 pub fn thread_count() -> u64 {
     THREAD_COUNT.with(Cell::get)
-}
-
-/// The current thread's live bytes (allocations minus same-thread
-/// frees). Only meaningful for regions that free on the thread that
-/// allocated — exactly the scratch-arena pattern the footprint tests
-/// measure.
-#[must_use]
-pub fn thread_live_bytes() -> i64 {
-    THREAD_LIVE.with(Cell::get)
 }
 
 /// Folds the allocation tallies into a snapshot (no-op unless counting
@@ -185,14 +173,12 @@ mod tests {
         let count0 = total_count();
         let bytes0 = total_bytes();
         let tcount0 = thread_count();
-        let tlive0 = thread_live_bytes();
         tally(1024);
         tally(512);
         tally_free(512);
         assert_eq!(total_count() - count0, 2);
         assert_eq!(total_bytes() - bytes0, 1536);
         assert_eq!(thread_count() - tcount0, 2);
-        assert_eq!(thread_live_bytes() - tlive0, 1024);
         // Peak never decreases.
         let peak = peak_live_bytes();
         tally_free(1024);

@@ -108,16 +108,12 @@ impl HistSummary {
 }
 
 /// The memory telemetry of one run, reduced to the journal's compact
-/// form. Additive relative to the v1 schema: records without it parse
-/// as `mem: None`, and v1 readers ignore the unknown key.
+/// form. Records without it parse as `mem: None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemBlock {
     /// Peak resident set size in bytes (`mem.rss_peak_bytes`; 0 when
     /// procfs was unavailable).
     pub rss_peak_bytes: u64,
-    /// Workspace-wide peak scratch-arena footprint in bytes
-    /// (`mem.arena_peak_bytes`).
-    pub arena_peak_bytes: u64,
     /// Total heap allocations counted (`mem.alloc.count`; 0 unless the
     /// run used `--alloc`).
     pub alloc_count: u64,
@@ -134,15 +130,13 @@ impl MemBlock {
         let gauge = |key: &str| snap.gauges.get(key).map(|v| *v as u64);
         let counter = |key: &str| snap.counters.get(key).copied();
         let rss = gauge("mem.rss_peak_bytes");
-        let arena = gauge("mem.arena_peak_bytes");
         let count = counter("mem.alloc.count");
         let bytes = counter("mem.alloc.bytes");
-        if rss.is_none() && arena.is_none() && count.is_none() && bytes.is_none() {
+        if rss.is_none() && count.is_none() && bytes.is_none() {
             return None;
         }
         Some(Self {
             rss_peak_bytes: rss.unwrap_or(0),
-            arena_peak_bytes: arena.unwrap_or(0),
             alloc_count: count.unwrap_or(0),
             alloc_bytes: bytes.unwrap_or(0),
         })
@@ -274,7 +268,7 @@ impl JournalRecord {
         let mut out = String::with_capacity(512);
         let _ = write!(
             out,
-            "{{\"v\":1,\"run\":\"{}\",\"bin\":\"{}\",\"cmd\":\"{}\",\"ts_ms\":{},\
+            "{{\"v\":2,\"run\":\"{}\",\"bin\":\"{}\",\"cmd\":\"{}\",\"ts_ms\":{},\
              \"scale\":{},\"domain\":{},\"seed\":{},\"threads\":{},\"wall_ms\":{}",
             json::escape(&self.meta.run_id),
             json::escape(&self.meta.binary),
@@ -289,9 +283,8 @@ impl JournalRecord {
         if let Some(mem) = &self.mem {
             let _ = write!(
                 out,
-                ",\"mem\":{{\"rss_peak_bytes\":{},\"arena_peak_bytes\":{},\
-                 \"alloc_count\":{},\"alloc_bytes\":{}}}",
-                mem.rss_peak_bytes, mem.arena_peak_bytes, mem.alloc_count, mem.alloc_bytes
+                ",\"mem\":{{\"rss_peak_bytes\":{},\"alloc_count\":{},\"alloc_bytes\":{}}}",
+                mem.rss_peak_bytes, mem.alloc_count, mem.alloc_bytes
             );
         }
         out.push_str(",\"cache\":[");
@@ -358,7 +351,10 @@ impl JournalRecord {
         out
     }
 
-    /// Parses one journal line.
+    /// Parses one journal line of schema version 1 or 2. Version 2
+    /// dropped the `mem` block's arena-footprint key; a version 1 line's
+    /// is ignored, so a journal holding both versions lists, diffs and
+    /// compacts as one.
     ///
     /// # Errors
     ///
@@ -367,7 +363,7 @@ impl JournalRecord {
     pub fn from_json_line(line: &str) -> Result<Self, String> {
         let doc = json::parse(line)?;
         let version = doc.get("v").and_then(Json::as_u64).ok_or("no version")?;
-        if version != 1 {
+        if !matches!(version, 1 | 2) {
             return Err(format!("unknown journal schema version {version}"));
         }
         let req_str = |key: &str| -> Result<String, String> {
@@ -407,7 +403,6 @@ impl JournalRecord {
             };
             record.mem = Some(MemBlock {
                 rss_peak_bytes: field("rss_peak_bytes")?,
-                arena_peak_bytes: field("arena_peak_bytes")?,
                 alloc_count: field("alloc_count")?,
                 alloc_bytes: field("alloc_bytes")?,
             });
@@ -756,6 +751,7 @@ pub fn gc(dir: &Path, keep: usize) -> Result<(usize, usize), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
 
     pub(crate) fn sample(run_id: &str, swarm_self_ns: u64) -> JournalRecord {
         let mut record = JournalRecord {
@@ -772,7 +768,6 @@ mod tests {
             wall_ms: 1200,
             mem: Some(MemBlock {
                 rss_peak_bytes: 48 << 20,
-                arena_peak_bytes: 3 << 20,
                 alloc_count: 1234,
                 alloc_bytes: 5 << 20,
             }),
@@ -836,18 +831,48 @@ mod tests {
         let mut snap = Snapshot::default();
         assert_eq!(MemBlock::from_registries(&snap), None);
         snap.gauges.insert("mem.rss_peak_bytes".to_string(), 1e6);
-        snap.gauges.insert("mem.arena_peak_bytes".to_string(), 2e5);
         snap.counters.insert("mem.alloc.count".to_string(), 7);
         snap.counters.insert("mem.alloc.bytes".to_string(), 900);
         assert_eq!(
             MemBlock::from_registries(&snap),
             Some(MemBlock {
                 rss_peak_bytes: 1_000_000,
-                arena_peak_bytes: 200_000,
                 alloc_count: 7,
                 alloc_bytes: 900,
             })
         );
+    }
+
+    #[test]
+    fn v1_and_v2_mem_blocks_parse_alike_and_v3_is_rejected() {
+        // A v1 mem block also carries the arena footprint, which v2
+        // dropped.
+        let line = |v: u64, mem: &str| {
+            format!(
+                "{{\"v\":{v},\"run\":\"r\",\"bin\":\"dsa\",\"cmd\":\"obs runs\",\"ts_ms\":1,\
+                 \"threads\":1,\"wall_ms\":2,\"mem\":{{{mem}}}}}"
+            )
+        };
+        let v1 = line(
+            1,
+            "\"rss_peak_bytes\":10,\"arena_peak_bytes\":20,\"alloc_count\":30,\"alloc_bytes\":40",
+        );
+        let v2_mem = "\"rss_peak_bytes\":10,\"alloc_count\":30,\"alloc_bytes\":40";
+        let v1 = JournalRecord::from_json_line(&v1).unwrap();
+        let v2 = JournalRecord::from_json_line(&line(2, v2_mem)).unwrap();
+        assert_eq!(
+            v1.mem,
+            Some(MemBlock {
+                rss_peak_bytes: 10,
+                alloc_count: 30,
+                alloc_bytes: 40,
+            })
+        );
+        assert_eq!(v1, v2);
+        let err = JournalRecord::from_json_line(&line(3, v2_mem)).unwrap_err();
+        assert!(err.contains("version 3"), "{err}");
+        // New records are written at v2.
+        assert!(sample("unit-v2", 1).to_json_line().starts_with("{\"v\":2,"));
     }
 
     #[test]
@@ -892,7 +917,7 @@ domain:null
 seed:num
 threads:num
 wall_ms:num
-mem{rss_peak_bytes,arena_peak_bytes,alloc_count,alloc_bytes}
+mem{rss_peak_bytes,alloc_count,alloc_bytes}
 cache[]{file,outcome}
 counters{name -> num}
 gauges{name -> num}
@@ -1043,7 +1068,9 @@ spans{name -> {count,total_ns,self_ns,p50,p95,p99}}
 
     #[test]
     fn from_snapshot_folds_in_cache_events_and_quantiles() {
-        let _g = crate::tests::LOCK.lock().unwrap();
+        let _g = crate::tests::LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         crate::enable_trace();
         crate::reset();
         note_cache_event("pra-rep-smoke.csv", "hit");
@@ -1075,7 +1102,9 @@ spans{name -> {count,total_ns,self_ns,p50,p95,p99}}
 
     #[test]
     fn cache_events_respect_the_cap() {
-        let _g = crate::tests::LOCK.lock().unwrap();
+        let _g = crate::tests::LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         crate::enable_metrics();
         crate::reset();
         for i in 0..(CACHE_EVENT_CAP + 10) {

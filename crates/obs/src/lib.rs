@@ -32,11 +32,9 @@
 //!
 //! The **memory dimension** completes the picture: an opt-in counting
 //! allocator ([`alloc`], the `--alloc` flag, which also gives every span
-//! end in a trace its self allocation count), the end-of-run
-//! `/proc/self/status` RSS reading ([`mem`]) and scratch-arena footprint
-//! gauges recorded by the engines via [`gauge_max`]. The journal's `mem`
-//! block records peak RSS, arena footprint and allocation totals next to
-//! time.
+//! end in a trace its self allocation count) and the end-of-run
+//! `/proc/self/status` RSS reading ([`mem`]). The journal's `mem` block
+//! records peak RSS and allocation totals next to time.
 //!
 //! Everything is **off by default**. Until [`enable_metrics`] or
 //! [`enable_trace`] flips the global flag, every recording call is a
@@ -105,14 +103,16 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
 
     // The global registries are shared across the test binary's threads;
-    // serialize every test that enables/asserts on them.
-    pub(crate) static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // serialize every test that enables/asserts on them. The lock guards
+    // no data, so a guard poisoned by a failing test is recovered.
+    pub(crate) static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disabled_recording_is_a_no_op() {
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         disable();
         reset();
         incr("test.counter");
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn counters_gauges_hists_record_when_enabled() {
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         enable_metrics();
         reset();
         incr("test.counter");
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_attribute_self_time() {
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         enable_trace();
         reset();
         {
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn worker_threads_merge_spans_on_exit() {
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         enable_trace();
         reset();
         std::thread::scope(|scope| {
@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn span_counts_are_identical_across_thread_counts() {
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         enable_trace();
         let mut counts = Vec::new();
         for threads in [1usize, 8] {

@@ -23,16 +23,6 @@ pub struct MemSample {
     pub rss_peak_bytes: u64,
 }
 
-/// Heap bytes held by a `Vec`'s allocation: capacity × element size.
-/// The building block every engine scratch's `footprint()` sums over —
-/// capacity, not length, because the arena's point is to keep grown
-/// allocations alive across runs.
-#[must_use]
-#[allow(clippy::ptr_arg)] // capacity() needs the Vec, not a slice
-pub fn vec_bytes<T>(v: &Vec<T>) -> usize {
-    v.capacity() * std::mem::size_of::<T>()
-}
-
 /// Reads the current RSS figures from `/proc/self/status`. Returns
 /// `None` where procfs is unavailable (non-Linux) or unparsable.
 #[must_use]
@@ -88,6 +78,7 @@ pub fn sample() -> Option<MemSample> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
 
     #[test]
     fn parses_proc_status_fields() {
@@ -104,14 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn vec_bytes_counts_capacity_not_length() {
-        let mut v: Vec<u64> = Vec::with_capacity(16);
-        v.push(1);
-        assert_eq!(vec_bytes(&v), 16 * 8);
-        assert_eq!(vec_bytes(&Vec::<u8>::new()), 0);
-    }
-
-    #[test]
     fn read_rss_reports_a_live_process_on_linux() {
         if let Some(s) = read_rss() {
             assert!(s.rss_bytes > 0);
@@ -122,7 +105,9 @@ mod tests {
 
     #[test]
     fn sampling_is_gated_and_publishes_gauges() {
-        let _g = crate::tests::LOCK.lock().unwrap();
+        let _g = crate::tests::LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         crate::disable();
         crate::reset();
         assert!(sample().is_none(), "disabled sampling must be a no-op");

@@ -235,7 +235,7 @@ pub fn gauge_set(name: &str, value: f64) {
 
 /// Raises a gauge to `value` when that is higher than its current
 /// reading (insert-or-max): the high-water-mark primitive behind the
-/// `mem.arena*` and `mem.rss_peak_bytes` gauges. Unlike [`gauge_set`],
+/// `mem.rss_peak_bytes` gauge. Unlike [`gauge_set`],
 /// concurrent writers can never lower the mark, so the result is
 /// independent of worker scheduling. A no-op unless metrics are enabled.
 pub fn gauge_max(name: &str, value: f64) {
@@ -326,6 +326,7 @@ pub(crate) fn reset_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
 
     #[test]
     fn bucket_boundaries() {
@@ -396,7 +397,9 @@ mod tests {
 
     #[test]
     fn thread_dependent_recording_tags_the_instrument() {
-        let _g = crate::tests::LOCK.lock().unwrap();
+        let _g = crate::tests::LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         enable_metrics();
         crate::reset();
         observe("det.hist", 1);
@@ -415,7 +418,9 @@ mod tests {
 
     #[test]
     fn gauge_max_is_a_high_water_mark() {
-        let _g = crate::tests::LOCK.lock().unwrap();
+        let _g = crate::tests::LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         enable_metrics();
         crate::reset();
         gauge_max("test.peak", 10.0);

@@ -229,6 +229,7 @@ pub fn validate(text: &str) -> Result<TraceStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
 
     fn ev(name: &str, track: u32, ts_ns: u64, end: bool) -> TraceEvent {
         TraceEvent {
@@ -338,7 +339,9 @@ mod tests {
 
     #[test]
     fn capture_roundtrip_through_registry() {
-        let _g = crate::tests::LOCK.lock().unwrap();
+        let _g = crate::tests::LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         crate::enable_events();
         crate::reset();
         {

@@ -15,7 +15,7 @@ use crate::protocol::{Identity, Maintenance, RepProtocol, Response, Source, Stra
 use dsa_workloads::bandwidth::BandwidthDist;
 use dsa_workloads::churn::ChurnModel;
 use dsa_workloads::rng::Xoshiro256pp;
-use dsa_workloads::sampling::{self, IndexSampler, SMALL_K};
+use dsa_workloads::sampling::{self, SMALL_K};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,15 +107,6 @@ struct LedgerMat {
 }
 
 impl LedgerMat {
-    fn footprint(&self) -> usize {
-        use dsa_obs::mem::vec_bytes;
-        vec_bytes(&self.opinion)
-            + vec_bytes(&self.accum)
-            + vec_bytes(&self.ring)
-            + vec_bytes(&self.ring_pos)
-            + vec_bytes(&self.seen)
-    }
-
     /// Folds every owner's round contributions into its opinion row and
     /// clears them, in one pass over the matrix. A Keep or Decay row is
     /// `o · f + a` with its owner's retention factor `f`: 1 under Keep,
@@ -186,12 +177,11 @@ impl LedgerMat {
 }
 
 /// Reusable working memory for [`run_with_scratch`]: request lists
-/// (flattened), the round's grant marks, the per-decision scoring buffers
-/// and the large-sample fallback samplers, allocated once and recycled
-/// across runs. After one warm run at a given population size, subsequent
-/// runs through the same scratch perform zero steady-state heap
-/// allocations per round (enforced by the `alloc_count` tests in
-/// `dsa-bench`).
+/// (flattened), the round's grant marks and the per-decision scoring
+/// buffers, allocated once and recycled across runs. After one warm run
+/// at a given population size, subsequent runs through the same scratch
+/// perform zero steady-state heap allocations per round (enforced by the
+/// `alloc_count` tests in `dsa-bench`).
 ///
 /// A scratch carries no results between runs — every buffer is resized
 /// and cleared before being read — so reusing one (even dirty, from a
@@ -203,9 +193,7 @@ pub struct RepScratch {
     /// in deterministic order.
     req_data: Vec<usize>,
     req_len: Vec<usize>,
-    /// Request draws of more than [`SMALL_K`] targets: the sampler (from
-    /// `0..n-1`) and its output.
-    req_sampler: IndexSampler,
+    /// Request draws of more than [`SMALL_K`] targets (from `0..n-1`).
     req_out: Vec<usize>,
     /// The round's grants as `(server, requester)`: their `seen` marks
     /// wait until every decision has read the start-of-round ledgers.
@@ -217,26 +205,6 @@ pub struct RepScratch {
     ledgers: LedgerMat,
     capacity: Vec<f64>,
     received: Vec<f64>,
-}
-
-impl RepScratch {
-    /// Heap bytes held by the arena — every buffer's capacity times its
-    /// element size, including the nested decision scratch, ledger
-    /// matrices and index samplers. Monotone across runs through one
-    /// scratch; published as the `mem.arena.rep_bytes` high-water gauge.
-    #[must_use]
-    pub fn footprint(&self) -> usize {
-        use dsa_obs::mem::vec_bytes;
-        vec_bytes(&self.req_data)
-            + vec_bytes(&self.req_len)
-            + self.req_sampler.footprint()
-            + vec_bytes(&self.req_out)
-            + vec_bytes(&self.marks)
-            + self.decision.footprint()
-            + self.ledgers.footprint()
-            + vec_bytes(&self.capacity)
-            + vec_bytes(&self.received)
-    }
 }
 
 /// Buffers for one server's allocation decision.
@@ -255,7 +223,6 @@ struct DecisionScratch {
     picks: [usize; SMALL_K],
     /// Witness draws of more than [`SMALL_K`] peers (from `0..n`), and
     /// EigenTrust's (trust, opinion) buffer for them.
-    sampler: IndexSampler,
     spill: Vec<usize>,
     pairs: Vec<(f64, f64)>,
 }
@@ -279,7 +246,6 @@ impl DecisionScratch {
             config.gossip_sources,
             rng,
             &mut self.picks,
-            &mut self.sampler,
             &mut self.spill,
         );
         if SRC == EIGENTRUST && witnesses.len() > SMALL_K {
@@ -289,22 +255,10 @@ impl DecisionScratch {
         }
         score::<SRC>(s, r, records, witnesses, &mut [(0.0, 0.0); SMALL_K])
     }
-
-    fn footprint(&self) -> usize {
-        use dsa_obs::mem::vec_bytes;
-        vec_bytes(&self.scores)
-            + vec_bytes(&self.weights)
-            + vec_bytes(&self.order)
-            + vec_bytes(&self.values)
-            + vec_bytes(&self.ranks)
-            + self.sampler.footprint()
-            + vec_bytes(&self.spill)
-            + vec_bytes(&self.pairs)
-    }
 }
 
 /// Draws `k` distinct indices from `0..n`: into `picks` when `k` fits,
-/// through `sampler` into `spill` otherwise. Both make the draws of
+/// into `spill` otherwise. [`sampling::sample_small`] makes the draws of
 /// [`sampling::sample_indices_into`], so the stream is the same either way.
 #[inline(always)]
 fn draw<'a>(
@@ -312,14 +266,13 @@ fn draw<'a>(
     k: usize,
     rng: &mut Xoshiro256pp,
     picks: &'a mut [usize; SMALL_K],
-    sampler: &mut IndexSampler,
     spill: &'a mut Vec<usize>,
 ) -> &'a [usize] {
     if k <= SMALL_K {
         let len = sampling::sample_small(n, k, rng, picks);
         &picks[..len]
     } else {
-        sampler.sample_into(n, k, rng, spill);
+        sampling::sample_indices_into(n, k, rng, spill);
         spill
     }
 }
@@ -428,7 +381,6 @@ pub fn run_with_scratch(
     let RepScratch {
         req_data,
         req_len,
-        req_sampler,
         req_out,
         marks,
         decision,
@@ -450,14 +402,7 @@ pub fn run_with_scratch(
         // the peers that asked `s` for service, in deterministic order.
         req_len.fill(0);
         for i in 0..n {
-            let targets = draw(
-                n - 1,
-                config.requests,
-                &mut rng,
-                &mut picks,
-                req_sampler,
-                req_out,
-            );
+            let targets = draw(n - 1, config.requests, &mut rng, &mut picks, req_out);
             for &t in targets {
                 // Slot `t` of the n − 1 peers other than `i`.
                 let target = t + usize::from(t >= i);
@@ -556,14 +501,8 @@ pub fn run_with_scratch(
     let _payoff_span = dsa_obs::span("rep.payoff");
     let out = received.clone();
 
-    // Arena accounting (see the swarm engine for the pattern).
-    if dsa_obs::metrics_enabled() {
-        let bytes = scratch.footprint() as f64;
-        dsa_obs::gauge_max("mem.arena.rep_bytes", bytes);
-        dsa_obs::gauge_max("mem.arena_peak_bytes", bytes);
-        if dsa_obs::alloc::enabled() {
-            dsa_obs::observe_thread_dependent("mem.run_allocs.rep", loop_allocs);
-        }
+    if dsa_obs::metrics_enabled() && dsa_obs::alloc::enabled() {
+        dsa_obs::observe_thread_dependent("mem.run_allocs.rep", loop_allocs);
     }
     out
 }

@@ -4,9 +4,9 @@
 //!
 //! Here every decision goes through one scorer that matches on the
 //! source per requester and returns `Option<f64>`; the staged path builds
-//! an `admitted` list in its own pass; both samplers are
-//! [`sampling::IndexSampler`]s; grants are buffered and applied after
-//! every decision; and mixed maintenance folds owner by owner.
+//! an `admitted` list in its own pass; every draw goes through
+//! [`sampling::sample_indices_into`]; grants are buffered and applied
+//! after every decision; and mixed maintenance folds owner by owner.
 
 use crate::engine::RepConfig;
 use crate::protocol::{Identity, Maintenance, RepProtocol, Response, Source, Stranger};
@@ -87,7 +87,6 @@ struct DecisionScratch {
     order: Vec<usize>,
     values: Vec<f64>,
     ranks: Vec<usize>,
-    gossip_sampler: sampling::IndexSampler,
     gossip_out: Vec<usize>,
     witnesses: Vec<(f64, f64)>,
 }
@@ -125,7 +124,6 @@ pub(crate) fn run(
     let mut req_data = vec![0usize; n * n];
     let mut req_len = vec![0usize; n];
     let mut req_out = Vec::new();
-    let mut req_sampler = sampling::IndexSampler::new();
     let mut grants: Vec<(usize, usize, f64)> = Vec::new();
     let mut decision = DecisionScratch::default();
 
@@ -140,7 +138,7 @@ pub(crate) fn run(
     for round in 0..config.rounds {
         req_len.fill(0);
         for i in 0..n {
-            req_sampler.sample_into(n - 1, config.requests, &mut rng, &mut req_out);
+            sampling::sample_indices_into(n - 1, config.requests, &mut rng, &mut req_out);
             for &t in &req_out {
                 let target = if t >= i { t + 1 } else { t };
                 req_data[target * n + req_len[target]] = i;
@@ -355,8 +353,7 @@ fn source_score(
     }
     let mut score = if own_seen { own } else { 0.0 };
     let mut heard = own_seen;
-    ds.gossip_sampler
-        .sample_into(n, config.gossip_sources, rng, &mut ds.gossip_out);
+    sampling::sample_indices_into(n, config.gossip_sources, rng, &mut ds.gossip_out);
     match source {
         Source::Gossiped => {
             for &g in &ds.gossip_out {

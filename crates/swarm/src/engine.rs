@@ -18,12 +18,12 @@
 
 use crate::history::{Ledger, Loyalty};
 use crate::protocol::{
-    Allocation, CandidateList, Ranking, StrangerPolicy, SwarmProtocol, MAX_PARTNERS,
+    Allocation, CandidateList, Ranking, StrangerPolicy, SwarmProtocol, MAX_PARTNERS, MAX_STRANGERS,
 };
 use dsa_workloads::bandwidth::BandwidthDist;
 use dsa_workloads::churn::ChurnModel;
 use dsa_workloads::rng::Xoshiro256pp;
-use dsa_workloads::sampling;
+use dsa_workloads::sampling::{self, SMALL_K};
 
 /// Simulation parameters (§4.3.1 defaults).
 #[derive(Debug, Clone, PartialEq)]
@@ -108,7 +108,6 @@ pub struct SwarmScratch {
     cand: Vec<(usize, f64)>,
     /// Shuffle buffer for the Random ranking.
     order: Vec<usize>,
-    strangers: Vec<usize>,
     /// Peers whose protocol ranks by Loyal: the only loyalty rows the
     /// round loop reads, hence the only ones it updates.
     loyal: Vec<usize>,
@@ -132,23 +131,6 @@ impl SwarmScratch {
         Self::default()
     }
 
-    /// Heap bytes held by the arena: every buffer's capacity times its
-    /// element size. Capacities only ever grow under reuse, so this is
-    /// monotone across runs through one scratch — the engines publish
-    /// it as the `mem.arena.swarm_bytes` high-water gauge.
-    #[must_use]
-    pub fn footprint(&self) -> usize {
-        use dsa_obs::mem::vec_bytes;
-        vec_bytes(&self.cand)
-            + vec_bytes(&self.order)
-            + vec_bytes(&self.loyal)
-            + vec_bytes(&self.strangers)
-            + vec_bytes(&self.excl)
-            + vec_bytes(&self.download)
-            + vec_bytes(&self.pp_data)
-            + vec_bytes(&self.pp_len)
-    }
-
     /// Sizes and clears the run-persistent buffers for an `n`-peer run.
     /// Per-peer transient buffers are cleared at their use sites.
     fn reset(&mut self, n: usize) {
@@ -165,6 +147,9 @@ impl SwarmScratch {
 /// Capacity of the round loop's fixed partner buffers: the largest
 /// `partner_slots` a protocol may have ([`run_with_scratch`] asserts it).
 pub(crate) const MAX_K: usize = MAX_PARTNERS as usize;
+
+// A peer's strangers are drawn into `sample_small`'s stack array.
+const _: () = assert!(MAX_STRANGERS as usize <= SMALL_K);
 
 /// Selects the first `k ≤ MAX_K` entries of the ranked candidate order
 /// into `sel` as `(key, candidate index)`, best first, and returns how
@@ -277,7 +262,8 @@ pub(crate) fn skip_contacts(j: usize, contacts: &[(usize, f64)], i_pos: usize) -
 /// # Panics
 ///
 /// Panics on an empty/too-small population, inconsistent assignment, or
-/// a protocol with more than [`MAX_PARTNERS`] partner slots.
+/// a protocol with more than [`MAX_PARTNERS`] partner slots or
+/// [`MAX_STRANGERS`] stranger slots.
 pub fn run(
     protocols: &[SwarmProtocol],
     assignment: &[usize],
@@ -312,7 +298,8 @@ pub fn run(
 /// # Panics
 ///
 /// Panics on an empty/too-small population, inconsistent assignment, or
-/// a protocol with more than [`MAX_PARTNERS`] partner slots.
+/// a protocol with more than [`MAX_PARTNERS`] partner slots or
+/// [`MAX_STRANGERS`] stranger slots.
 pub fn run_with_scratch(
     protocols: &[SwarmProtocol],
     assignment: &[usize],
@@ -367,6 +354,10 @@ fn simulate(
         protocols.iter().all(|p| p.partner_slots <= MAX_PARTNERS),
         "partner_slots above MAX_PARTNERS ({MAX_PARTNERS})"
     );
+    assert!(
+        protocols.iter().all(|p| p.stranger_slots <= MAX_STRANGERS),
+        "stranger_slots above MAX_STRANGERS ({MAX_STRANGERS})"
+    );
 
     let _run_span = dsa_obs::span("swarm.run");
     let setup_span = dsa_obs::span("swarm.setup");
@@ -412,7 +403,6 @@ fn simulate(
         cand,
         order,
         loyal,
-        strangers,
         excl,
         download,
         pp_data,
@@ -420,6 +410,7 @@ fn simulate(
     } = scratch;
     let mut sel = [(0.0, 0); MAX_K];
     let mut partners = [(0, 0.0); MAX_K];
+    let mut strangers = [0; SMALL_K];
     // A loyalty row is only consulted by its peer's Loyal ranking; keeping
     // the others current is O(n) per row and round of dead work.
     loyal.clear();
@@ -529,7 +520,7 @@ fn simulate(
                 StrangerPolicy::Periodic | StrangerPolicy::Defect => h,
                 StrangerPolicy::WhenNeeded => h.min(k - partner_count),
             };
-            strangers.clear();
+            let mut stranger_count = 0;
             if stranger_quota > 0 {
                 // Eligible: not me, not selected, outside my memory
                 // window. The set is never materialized: the exclusions
@@ -544,13 +535,13 @@ fn simulate(
                     excl.push(i);
                     excl.sort_unstable();
                     let eligible_len = n - excl.len();
-                    sampling::sample_indices_into(
+                    stranger_count = sampling::sample_small(
                         eligible_len,
                         stranger_quota,
                         &mut rng,
-                        strangers,
+                        &mut strangers,
                     );
-                    for slot in strangers.iter_mut() {
+                    for slot in &mut strangers[..stranger_count] {
                         *slot = skip_excluded(*slot, excl.iter().copied());
                     }
                 } else {
@@ -558,15 +549,15 @@ fn simulate(
                     // `cp[..contacts_len]` (ascending by peer) with `i`
                     // spliced in; place `i` among them once per peer.
                     let eligible_len = n - contacts_len - 1;
-                    sampling::sample_indices_into(
+                    stranger_count = sampling::sample_small(
                         eligible_len,
                         stranger_quota,
                         &mut rng,
-                        strangers,
+                        &mut strangers,
                     );
                     let contacts = &cp[..contacts_len];
                     let i_pos = i - contacts.partition_point(|c| c.0 < i);
-                    for slot in strangers.iter_mut() {
+                    for slot in &mut strangers[..stranger_count] {
                         *slot = skip_contacts(*slot, contacts, i_pos);
                     }
                 }
@@ -610,7 +601,7 @@ fn simulate(
                 StrangerPolicy::Defect => 0.0,
                 StrangerPolicy::Periodic | StrangerPolicy::WhenNeeded => q,
             };
-            for &j in strangers.iter() {
+            for &j in &strangers[..stranger_count] {
                 next.record_new(j, i, stranger_amount);
                 download[j] += stranger_amount;
             }
@@ -703,16 +694,8 @@ fn simulate(
         .map(|(&s, &c)| if c == 0 { f64::NAN } else { s / c as f64 })
         .collect();
 
-    // Arena accounting: high-water footprint of this scratch, plus the
-    // workspace-wide peak, and (under --alloc) the run's allocation
-    // delta. Gated so disabled runs skip the capacity walk entirely.
-    if dsa_obs::metrics_enabled() {
-        let bytes = scratch.footprint() as f64;
-        dsa_obs::gauge_max("mem.arena.swarm_bytes", bytes);
-        dsa_obs::gauge_max("mem.arena_peak_bytes", bytes);
-        if dsa_obs::alloc::enabled() {
-            dsa_obs::observe_thread_dependent("mem.run_allocs.swarm", loop_allocs);
-        }
+    if dsa_obs::metrics_enabled() && dsa_obs::alloc::enabled() {
+        dsa_obs::observe_thread_dependent("mem.run_allocs.swarm", loop_allocs);
     }
 
     RunOutcome {
@@ -991,6 +974,17 @@ mod tests {
         };
         let cfg = small();
         let _ = run(&[presets::bittorrent(), wide], &vec![0; cfg.peers], &cfg, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "stranger_slots above MAX_STRANGERS")]
+    fn stranger_slots_beyond_max_strangers_panic() {
+        let wide = SwarmProtocol {
+            stranger_slots: MAX_STRANGERS + 1,
+            ..presets::bittorrent()
+        };
+        let cfg = small();
+        let _ = run(&[wide], &vec![0; cfg.peers], &cfg, 1);
     }
 
     #[test]

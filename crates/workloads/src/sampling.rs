@@ -86,9 +86,9 @@ pub const SMALL_K: usize = 4;
 /// the same order — nothing for `k = 0`, one draw for `k = 1`, Floyd's
 /// algorithm and its shuffle when `8k < n`, the register-resident
 /// materialize otherwise — and makes the same draws. An engine that
-/// samples a few indices per decision calls this rather than an
-/// [`IndexSampler`]: there is no `Vec` to write through and no large-`k`
-/// branch to carry.
+/// samples a few indices per decision calls this rather than
+/// [`sample_indices_into`]: there is no `Vec` to write through and no
+/// large-`k` branch to carry.
 ///
 /// # Panics
 ///
@@ -122,8 +122,8 @@ pub fn sample_small(
 }
 
 /// [`small_materialize`] appended to a `Vec`. Kept out of line, so that
-/// [`sample_indices_into`] and [`IndexSampler::sample_into`] carry only
-/// the call on their rarely taken branch.
+/// [`sample_indices_into`] carries only the call on its rarely taken
+/// branch.
 #[inline(never)]
 fn small_materialize_into(n: usize, k: usize, rng: &mut Xoshiro256pp, out: &mut Vec<usize>) {
     let mut picks = [0; SMALL_K];
@@ -199,86 +199,6 @@ fn small_materialize(n: usize, k: usize, rng: &mut Xoshiro256pp, out: &mut [usiz
             }
         }
         *slot = vj;
-    }
-}
-
-/// Reusable state making [`sample_indices_into`] allocation-free *and*
-/// O(k) on its materialize branch: the identity permutation that branch
-/// rebuilds from scratch each call is kept alive across calls, the same
-/// partial Fisher–Yates swaps are applied to it, and then un-applied in
-/// reverse once the sample is copied out. Same RNG draw order, same
-/// output bits, no per-call `0..n` fill (except when `n` changes).
-#[derive(Debug, Default)]
-pub struct IndexSampler {
-    perm: Vec<usize>,
-    swaps: Vec<usize>,
-}
-
-impl IndexSampler {
-    /// Creates an empty sampler; buffers grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Heap bytes held by the sampler's buffers (capacities, not
-    /// lengths) — rolled up into the owning scratch's `footprint()`.
-    /// Computed inline so this crate stays dependency-free.
-    #[must_use]
-    pub fn footprint(&self) -> usize {
-        (self.perm.capacity() + self.swaps.capacity()) * std::mem::size_of::<usize>()
-    }
-
-    /// Bit-identical to [`sample_indices_into`]: same branch selection,
-    /// same draws, same result — engine round loops that sample with a
-    /// stable `n` get O(k) calls with zero steady-state allocations.
-    pub fn sample_into(
-        &mut self,
-        n: usize,
-        k: usize,
-        rng: &mut Xoshiro256pp,
-        out: &mut Vec<usize>,
-    ) {
-        out.clear();
-        let k = k.min(n);
-        if k == 0 {
-            return;
-        }
-        if k == 1 {
-            out.push(rng.index(n));
-            return;
-        }
-        if k * 8 < n {
-            // Floyd branch: already O(k), delegate verbatim.
-            for j in (n - k)..n {
-                let t = rng.index(j + 1);
-                if out.contains(&t) {
-                    out.push(j);
-                } else {
-                    out.push(t);
-                }
-            }
-            shuffle(out, rng);
-        } else if k <= SMALL_K {
-            // Register-resident path needs no persistent permutation.
-            small_materialize_into(n, k, rng, out);
-        } else {
-            if self.perm.len() != n {
-                self.perm.clear();
-                self.perm.extend(0..n);
-            }
-            self.swaps.clear();
-            for i in 0..k {
-                let j = i + rng.index(n - i);
-                self.perm.swap(i, j);
-                self.swaps.push(j);
-            }
-            out.extend_from_slice(&self.perm[..k]);
-            // Undo the swaps in reverse: `perm` is the identity again.
-            for (i, &j) in self.swaps.iter().enumerate().rev() {
-                self.perm.swap(i, j);
-            }
-        }
     }
 }
 
@@ -529,32 +449,6 @@ mod tests {
             let mut b = vec![99; 64]; // dirty buffer
             sample_indices_into(n, k, &mut r2, &mut b);
             assert_eq!(a, b, "n={n} k={k}");
-            assert_eq!(r1.next_u64(), r2.next_u64(), "stream diverged n={n} k={k}");
-        }
-    }
-
-    #[test]
-    fn index_sampler_matches_sample_indices_across_calls() {
-        // One sampler reused across branch switches, n switches and
-        // repeated calls must replicate the plain function bit-for-bit
-        // (the permutation un-swap has to actually restore the identity).
-        let mut r1 = rng();
-        let mut r2 = rng();
-        let mut sampler = IndexSampler::new();
-        let mut out = Vec::new();
-        for (n, k) in [
-            (23, 3),
-            (24, 3),
-            (23, 3),
-            (1000, 3),
-            (23, 23),
-            (24, 1),
-            (5, 0),
-            (24, 3),
-        ] {
-            let expect = sample_indices(n, k, &mut r1);
-            sampler.sample_into(n, k, &mut r2, &mut out);
-            assert_eq!(out, expect, "n={n} k={k}");
             assert_eq!(r1.next_u64(), r2.next_u64(), "stream diverged n={n} k={k}");
         }
     }
